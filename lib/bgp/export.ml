@@ -11,12 +11,19 @@ let valley_free_allows ~peer_rel best =
     | None | Some Customer -> true
     | Some (Peer_link | Provider) -> peer_rel = Some Customer)
 
+let passes ~peer_kind ?peer_rel best =
+  match peer_kind with
+  | Ibgp -> Rib.ibgp_exportable best
+  | Ebgp -> valley_free_allows ~peer_rel best
+
+let loop_blocked ~config ~peer_as path =
+  config.Config.sender_side_loop_check && path_contains path peer_as
+
 let target ~paths ~config ~own_as ~peer_kind ~peer_as ?peer_rel ~best () =
   match best with
   | None -> None
   | Some best ->
-    if peer_kind = Ibgp && not (Rib.ibgp_exportable best) then None
-    else if peer_kind = Ebgp && not (valley_free_allows ~peer_rel best) then None
+    if not (passes ~peer_kind ?peer_rel best) then None
     else
       let base =
         match best with Rib.Local -> Path.empty | Rib.Learned e -> e.Rib.path
@@ -24,5 +31,4 @@ let target ~paths ~config ~own_as ~peer_kind ~peer_as ?peer_rel ~best () =
       let path =
         match peer_kind with Ebgp -> Path.cons paths own_as base | Ibgp -> base
       in
-      if config.Config.sender_side_loop_check && path_contains path peer_as then None
-      else Some path
+      if loop_blocked ~config ~peer_as path then None else Some path

@@ -6,6 +6,14 @@
 
 open Types
 
+val passes : peer_kind:session_kind -> ?peer_rel:relationship -> Rib.best -> bool
+(** The session filters alone: an iBGP-learned selection is not sent to
+    an iBGP peer, and — when relationships are configured — a route
+    learned from a peer or a provider is only sent to customers. *)
+
+val loop_blocked : config:Config.t -> peer_as:as_id -> path -> bool
+(** Sender-side loop check: would [peer_as] drop this path as a loop? *)
+
 val target :
   paths:Path.table ->
   config:Config.t ->
@@ -22,4 +30,7 @@ val target :
     iBGP peer, a sender-side loop-check hit, or — when relationships are
     configured — a valley-free (Gao-Rexford) export restriction: routes
     learned from peers or providers are only exported to customers.
-    [peer_rel] is our relationship to the peer being exported to. *)
+    [peer_rel] is our relationship to the peer being exported to.
+    [target] is {!passes}, then the prepend, then {!loop_blocked}; the
+    router composes the same three with the prepend consed once per
+    selection. *)

@@ -6,13 +6,21 @@
     per-node membership bitset — replacing the [List.length]/[List.mem]
     walks the decision process and loop checks used to pay per message.
 
-    Lifetime rules: a table lives for one simulation run (it is created by
-    the network builder and shared by every router of that run), so
-    interned nodes are reclaimed wholesale when the run's network is
-    dropped, and no cross-domain sharing ever occurs — parallel trials
-    each build their own table.  {!equal} is nevertheless safe across
-    tables: it falls back to a structural hop comparison when the pointer
-    test fails. *)
+    Lifetime rules: a table lives for one simulation run (or one shard of
+    it) and no cross-domain sharing ever occurs — parallel trials and
+    shards each build their own table.  A table that has roots
+    ({!add_roots}) sweeps itself: once its memo holds {!sweep_multiple}
+    times the nodes the previous sweep kept, it keeps only the nodes on
+    the spines of the paths its roots hold (the owning routers' RIBs) and
+    forgets the rest, so the memo tracks live routing state instead of
+    every path ever interned.  A forgotten node stays a valid path: ids
+    are never reused, so a path still in flight or queued when it was
+    swept can be compared, inspected and consed onto as before; re-interning
+    its hop sequence later yields a fresh node that is {!equal} to it but
+    not physically the same.  Tables without roots (trace readers,
+    scratch tables) never sweep.  {!equal} is safe across tables and
+    across sweeps: it falls back to a structural hop comparison when the
+    pointer test fails. *)
 
 type t
 (** An interned AS path.  Head is the AS of the last speaker that
@@ -29,8 +37,9 @@ val empty : t
 
 val cons : table -> int -> t -> t
 (** [cons tbl asn p] is the path [asn :: hops p], interned in [tbl].
-    O(1) amortised (one memo-table probe).  [p] must itself be interned
-    in [tbl] (or be {!empty}).
+    O(1) amortised (one memo-table probe, plus an occasional sweep).  [p]
+    must itself have been interned in [tbl] (swept nodes included) or be
+    {!empty}.
     @raise Invalid_argument if [asn] is negative or [p] was interned in a
     different table. *)
 
@@ -55,21 +64,42 @@ val equal : t -> t -> bool
     structural fallback otherwise. *)
 
 val id : t -> int
-(** Unique id within the owning table (0 for {!empty}); exposed for
-    debugging and benchmarks. *)
+(** Unique id within the owning table (0 for {!empty}), never reused,
+    even after the node is swept; exposed for debugging and benchmarks. *)
 
 val pp : Format.formatter -> t -> unit
+
+(** {2 Sweeping} *)
+
+val add_roots : table -> ((t -> unit) -> unit) -> unit
+(** [add_roots tbl iter] registers [iter], which must call its argument
+    on every path one owner currently keeps (each router registers its
+    Adj-RIB-In, Loc-RIB, Adj-RIB-Out and parked routes).  Arms the
+    table's automatic sweep.  [iter] runs inside {!cons}, in the domain
+    that owns the table, and must only read. *)
+
+val sweep : table -> unit
+(** Sweep now: keep the memo nodes on the spines of the root paths, drop
+    the rest.  {!cons} calls it automatically; a table without roots is
+    emptied. *)
+
+val sweep_multiple : int
+(** The growth factor over the last sweep's survivors that triggers the
+    next automatic sweep (tables below a small floor never sweep). *)
 
 (** {2 Interning statistics (telemetry, micro-benchmarks)} *)
 
 val unique_count : table -> int
-(** Distinct non-empty paths interned so far. *)
+(** Distinct non-empty nodes interned over the table's lifetime, swept
+    ones included (the denominator of interns per update). *)
 
 val hit_count : table -> int
 (** [cons] calls answered from the memo table. *)
 
 type table_stats = {
-  nodes : int;  (** distinct interned path nodes (= {!unique_count}) *)
+  nodes : int;
+      (** path nodes the memo holds now (at most {!unique_count}: swept
+          nodes are not counted) *)
   hops_total : int;  (** sum of path lengths over all interned nodes *)
   sharing : float;
       (** naive per-path hop storage over actual shared-spine storage;
@@ -78,5 +108,6 @@ type table_stats = {
 }
 
 val table_stats : table -> table_stats
-(** Deterministic size accounting for the memory report: depends only on
-    what was interned, never on hashing or GC state.  O(nodes). *)
+(** Deterministic size accounting for the memory report, over the nodes
+    the memo holds now: depends only on what was interned and swept,
+    never on hashing or GC state.  O(nodes). *)

@@ -4,7 +4,15 @@
     (Section 3.2), with deterministic tie-breaks — locally-originated
     beats learned, eBGP beats iBGP, then lowest peer id.  When Gao-Rexford
     relationships are supplied, a local-preference class (customer over
-    peer over provider) ranks above path length, as in real BGP. *)
+    peer over provider) ranks above path length, as in real BGP.
+
+    Layout: destinations are dense ints, so the tables are flat arrays
+    indexed by destination.  Each peer gets a slot the first time it is
+    seen, and the Adj-RIB-In row of a destination is one slot per peer:
+    a packed key (rank plus relationship bit) and a path, two words, so
+    {!set_in} allocates nothing.  The Loc-RIB keeps the selection as the
+    option {!best} returns; {!decide} allocates only when the selection
+    changes. *)
 
 open Types
 
@@ -69,6 +77,11 @@ val ibgp_exportable : best -> bool
 (** Standard full-mesh iBGP rule: only local and eBGP-learned routes are
     re-advertised to iBGP peers. *)
 
+val iter_paths : t -> (path -> unit) -> unit
+(** Visit every path the Adj-RIB-In and Loc-RIB hold (a path may be
+    visited more than once) — the RIB's share of its path table's roots
+    ([Path.add_roots]). *)
+
 val num_dests : t -> int
 (** Number of destinations with any Adj-RIB-In or Loc-RIB state, without
     materialising the list. *)
@@ -85,9 +98,10 @@ val in_entries : t -> int
 (** Total Adj-RIB-In entries across all destinations and peers. *)
 
 val approx_bytes : t -> int
-(** Estimated resident size of this RIB in bytes, from a fixed
-    words-per-entry model over the entry counts (deterministic: no heap
-    walk, no dependence on hashing or GC state).  Shared AS-path storage
+(** Estimated resident size of this RIB in bytes, from a fixed word
+    model of the flat layout over its capacities (destinations, peer
+    slots) and counts (deterministic: no heap walk, no dependence on
+    hashing or GC state).  Shared AS-path storage
     is excluded — it is accounted once, at the hashcons table
     ([Path.table_stats]). *)
 

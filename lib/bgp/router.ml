@@ -70,6 +70,20 @@ type t = {
      [Processed] completion or [Mrai_flush] that any update sent right now
      is caused by.  [-1] when untraced or outside any handler. *)
   mutable cur_cause : int;
+  (* The message being processed (taken from [input] by [begin_next]);
+     its source, destination and trace fields are [Iq.last_*] of
+     [input] until the next take.  [Peer_down_msg] when idle. *)
+  mutable work : work;
+  delay : Float.Array.t;  (* its sampled processing delay, unboxed *)
+  mutable complete_cb : unit -> unit;  (* [complete t], allocated once *)
+  (* Export context of the selection being exported, set by
+     [prepare_export]: the Loc-RIB selection and, once an eBGP peer
+     needs it, the selection's path with our AS prepended — consed once
+     per selection instead of once per peer. *)
+  mutable ex_best : Rib.best option;
+  mutable ex_prepended : path;
+  mutable ex_has_prepended : bool;
+  mutable ex_target : path;  (* set by [has_target] *)
   mutable busy : bool;
   mutable failed : bool;
   mutable last_level : int;  (* for dynamic_restart_timers *)
@@ -95,7 +109,7 @@ type t = {
   mutable on_rib_change : (int -> float -> unit) option;
 }
 
-let create ~sched ~rng ~paths ~config ~id ~asn ~degree ?tracer cb =
+let make ~sched ~rng ~paths ~config ~id ~asn ~degree ?tracer cb =
   let ebgp_controller = Mrai.make config.Config.mrai_scheme ~degree in
   {
     id;
@@ -116,6 +130,13 @@ let create ~sched ~rng ~paths ~config ~id ~asn ~degree ?tracer cb =
     cb;
     tracer;
     cur_cause = -1;
+    work = Peer_down_msg;
+    delay = Float.Array.make 1 0.0;
+    complete_cb = ignore;
+    ex_best = None;
+    ex_prepended = Path.empty;
+    ex_has_prepended = false;
+    ex_target = Path.empty;
     busy = false;
     failed = false;
     last_level = 0;
@@ -228,32 +249,73 @@ let send_withdraw t peer dest =
   t.cb.send ~src:t.id ~dst:peer.peer_id (Withdraw dest);
   activity t
 
-(* What should [peer] currently be told about [dest]?  [None] = nothing
-   (so a withdrawal if something was advertised before). *)
-let export_target t peer dest =
-  Export.target ~paths:t.paths ~config:t.config ~own_as:t.asn ~peer_kind:peer.kind
-    ~peer_as:peer.peer_as ?peer_rel:peer.peer_rel ~best:(Rib.best t.rib dest) ()
+let base_path = function Rib.Local -> Path.empty | Rib.Learned e -> e.Rib.path
+
+(* Load the export context for [dest]'s current selection; the eBGP
+   prepend is consed on first use (see [sent_path]). *)
+let prepare_export t dest =
+  t.ex_best <- Rib.best t.rib dest;
+  t.ex_has_prepended <- false
+
+(* The path [peer] is sent for the prepared selection [best]. *)
+let sent_path t peer best =
+  match peer.kind with
+  | Ibgp -> base_path best
+  | Ebgp ->
+    if not t.ex_has_prepended then begin
+      t.ex_prepended <- Path.cons t.paths t.asn (base_path best);
+      t.ex_has_prepended <- true
+    end;
+    t.ex_prepended
+
+(* What should [peer] currently be told about the prepared destination?
+   [Export.target] without the option box and with the prepend shared
+   across peers: [true] iff something is to be advertised, and then
+   [ex_target] is the path. *)
+let has_target t peer =
+  match t.ex_best with
+  | None -> false
+  | Some best ->
+    if not (Export.passes ~peer_kind:peer.kind ?peer_rel:peer.peer_rel best) then false
+    else begin
+      let path = sent_path t peer best in
+      if Export.loop_blocked ~config:t.config ~peer_as:peer.peer_as path then false
+      else begin
+        t.ex_target <- path;
+        true
+      end
+    end
+
+(* Is [path] what [peer] currently holds for [dest]? *)
+let advertised_as peer dest path =
+  match Hashtbl.find peer.advertised dest with
+  | advertised -> path_equal path advertised
+  | exception Not_found -> false
 
 let timer_idle t peer dest =
   match t.config.Config.mrai_mode with
   | Config.Per_peer -> not peer.timer_running
   | Config.Per_dest -> not (Hashtbl.mem peer.dest_timers dest)
 
-(* Flush one pending destination against the current Loc-RIB.  Returns
-   [true] if an MRAI-limited message (an advertisement, or any message
-   when mrai_on_withdrawals) was sent. *)
-let flush_target t peer dest target =
-  match (target, Hashtbl.find_opt peer.advertised dest) with
-  | None, None -> false
-  | Some path, Some advertised when path_equal path advertised -> false
-  | Some path, _ ->
-    send_advert t peer dest path;
-    true
-  | None, Some _ ->
+(* Flush one pending destination against the prepared selection ([has]
+   is [has_target t peer]).  Returns [true] if an MRAI-limited message (an
+   advertisement, or any message when mrai_on_withdrawals) was sent. *)
+let flush_target t peer dest ~has =
+  if has then
+    if advertised_as peer dest t.ex_target then false
+    else begin
+      send_advert t peer dest t.ex_target;
+      true
+    end
+  else if Hashtbl.mem peer.advertised dest then begin
     send_withdraw t peer dest;
     t.config.Config.mrai_on_withdrawals
+  end
+  else false
 
-let flush_dest t peer dest = flush_target t peer dest (export_target t peer dest)
+let flush_dest t peer dest =
+  prepare_export t dest;
+  flush_target t peer dest ~has:(has_target t peer)
 
 (* Mark [dest] pending towards [peer], remembering when it became
    MRAI-eligible and which event made it so (for the Mrai_flush trace
@@ -340,27 +402,27 @@ let cancel_gate_timer t peer dest =
 (* Deshpande-Sikdar method 1: is the new export strictly better than what
    the peer currently holds? *)
 let is_improvement peer dest path =
-  match Hashtbl.find_opt peer.advertised dest with
-  | None -> true
-  | Some advertised -> path_length path < path_length advertised
+  match Hashtbl.find peer.advertised dest with
+  | advertised -> path_length path < path_length advertised
+  | exception Not_found -> true
 
 let bump_flaps peer dest =
-  let count = 1 + Option.value ~default:0 (Hashtbl.find_opt peer.flaps dest) in
+  let count =
+    1 + match Hashtbl.find peer.flaps dest with n -> n | exception Not_found -> 0
+  in
   Hashtbl.replace peer.flaps dest count;
   count
 
 (* A route change for [dest] happened: decide what (if anything) to tell
-   [peer], applying the MRAI gate (and any configured bypass). *)
+   [peer], applying the MRAI gate (and any configured bypass).  The
+   export context must be prepared for [dest]. *)
 let schedule_export t peer dest =
   if peer.up then
-    let target = export_target t peer dest in
-    match (target, Hashtbl.find_opt peer.advertised dest) with
-    | None, None -> Hashtbl.remove peer.pending dest
-    | Some path, Some advertised when path_equal path advertised ->
-      Hashtbl.remove peer.pending dest
-    | Some path, _ ->
-      if timer_idle t peer dest then begin
-        ignore (flush_target t peer dest target);
+    if has_target t peer then begin
+      let path = t.ex_target in
+      if advertised_as peer dest path then Hashtbl.remove peer.pending dest
+      else if timer_idle t peer dest then begin
+        ignore (flush_target t peer dest ~has:true);
         after_send t peer dest
       end
       else begin
@@ -371,7 +433,7 @@ let schedule_export t peer dest =
           if is_improvement peer dest path then begin
             cancel_gate_timer t peer dest;
             Hashtbl.remove peer.pending dest;
-            ignore (flush_target t peer dest target);
+            ignore (flush_target t peer dest ~has:true);
             after_send t peer dest
           end
           else pend t peer dest
@@ -381,14 +443,15 @@ let schedule_export t peer dest =
                destination: the update goes out immediately and the gate
                timer is left untouched. *)
             Hashtbl.remove peer.pending dest;
-            ignore (flush_target t peer dest target)
+            ignore (flush_target t peer dest ~has:true)
           end
           else pend t peer dest
       end
-    | None, Some _ ->
+    end
+    else if Hashtbl.mem peer.advertised dest then begin
       if t.config.Config.mrai_on_withdrawals then begin
         if timer_idle t peer dest then begin
-          ignore (flush_target t peer dest target);
+          ignore (flush_target t peer dest ~has:false);
           after_send t peer dest
         end
         else pend t peer dest
@@ -398,6 +461,14 @@ let schedule_export t peer dest =
         Hashtbl.remove peer.pending dest;
         send_withdraw t peer dest
       end
+    end
+    else Hashtbl.remove peer.pending dest
+
+let rec export_to_all t dest = function
+  | [] -> ()
+  | peer :: rest ->
+    schedule_export t peer dest;
+    export_to_all t dest rest
 
 (* Paper Section 5 "future work": apply a dynamic level change to running
    timers immediately (re-armed with the new interval from now) instead of
@@ -443,7 +514,8 @@ let reconsider t dest =
     | Some f -> f dest (Sched.now t.sched)
     | None -> ());
     activity t;
-    List.iter (fun peer -> schedule_export t peer dest) t.peer_states
+    prepare_export t dest;
+    export_to_all t dest t.peer_states
   end
 
 (* --- Flap damping (RFC 2439) -------------------------------------------- *)
@@ -505,25 +577,25 @@ let apply_update_with_damping t damping peer ~src update =
 
 (* --- Input queue and processing ---------------------------------------- *)
 
-let handle_work t (item : work Iq.item) =
-  match item.payload with
+let handle_work t ~src work =
+  match work with
   | Update_msg update -> (
-    match Hashtbl.find_opt t.peers item.src with
-    | None -> ()
-    | Some peer ->
+    match Hashtbl.find t.peers src with
+    | exception Not_found -> ()
+    | peer ->
       if peer.up then begin
         (match t.damping with
-        | Some damping -> apply_update_with_damping t damping peer ~src:item.src update
+        | Some damping -> apply_update_with_damping t damping peer ~src update
         | None -> (
           match update with
           | Advertise { dest; path } ->
             if path_contains path t.asn then
               (* Receiver-side loop detection: treat as implicit withdraw. *)
-              Rib.withdraw_in t.rib dest ~peer:item.src
+              Rib.withdraw_in t.rib dest ~peer:src
             else
-              Rib.set_in t.rib dest ~peer:item.src ~kind:peer.kind ?rel:peer.peer_rel
+              Rib.set_in t.rib dest ~peer:src ~kind:peer.kind ?rel:peer.peer_rel
                 path
-          | Withdraw dest -> Rib.withdraw_in t.rib dest ~peer:item.src));
+          | Withdraw dest -> Rib.withdraw_in t.rib dest ~peer:src));
         reconsider t (update_dest update)
       end)
   | Peer_down_msg ->
@@ -532,14 +604,14 @@ let handle_work t (item : work Iq.item) =
        rather than copying the whole table. *)
     let stale =
       Hashtbl.fold
-        (fun ((src, _) as k) _ acc -> if src = item.src then k :: acc else acc)
+        (fun ((from, _) as k) _ acc -> if from = src then k :: acc else acc)
         t.parked []
     in
     List.iter (Hashtbl.remove t.parked) stale;
-    let affected = Rib.drop_peer t.rib ~peer:item.src in
+    let affected = Rib.drop_peer t.rib ~peer:src in
     List.iter (reconsider t) (List.sort Int.compare affected)
   | Peer_up_msg -> (
-    match Hashtbl.find_opt t.peers item.src with
+    match Hashtbl.find_opt t.peers src with
     | None -> ()
     | Some peer ->
       if peer.up then begin
@@ -551,27 +623,36 @@ let handle_work t (item : work Iq.item) =
            gated by the MRAI as usual. *)
         let stale =
           Hashtbl.fold
-            (fun ((src, _) as k) _ acc -> if src = item.src then k :: acc else acc)
+            (fun ((from, _) as k) _ acc -> if from = src then k :: acc else acc)
             t.parked []
         in
         List.iter (Hashtbl.remove t.parked) stale;
-        let affected = Rib.drop_peer t.rib ~peer:item.src in
+        let affected = Rib.drop_peer t.rib ~peer:src in
         List.iter (reconsider t) (List.sort Int.compare affected);
         let dests = ref [] in
         Rib.iter_dests t.rib (fun d -> dests := d :: !dests);
-        List.iter (fun d -> schedule_export t peer d) (List.sort Int.compare !dests)
+        List.iter
+          (fun d ->
+            prepare_export t d;
+            schedule_export t peer d)
+          (List.sort Int.compare !dests)
       end)
 
 let rec begin_next t =
-  match Iq.pop t.input with
-  | None -> t.busy <- false
-  | Some item ->
+  if Iq.is_empty t.input then t.busy <- false
+  else begin
     t.busy <- true;
+    t.work <- Iq.take t.input;
     let delay = Dist.sample t.config.Config.processing_delay t.rng in
-    ignore (Sched.schedule t.sched ~delay (fun () -> complete t item delay))
+    Float.Array.set t.delay 0 delay;
+    ignore (Sched.schedule t.sched ~delay t.complete_cb)
+  end
 
-and complete t item delay =
+and complete t =
   if not t.failed then begin
+    let delay = Float.Array.get t.delay 0 in
+    let src = Iq.last_src t.input and work = t.work in
+    t.work <- Peer_down_msg;
     if t.adaptive then begin
       roll_window t;
       t.busy_in_window <- t.busy_in_window +. delay
@@ -580,12 +661,12 @@ and complete t item delay =
     (match t.tracer with
     | Some tr ->
       t.cur_cause <-
-        tr.on_processed ~router:t.id ~src:item.src ~dest:item.dest
-          ~enqueued:item.enqueued
+        tr.on_processed ~router:t.id ~src ~dest:(Iq.last_dest t.input)
+          ~enqueued:(Iq.last_enqueued t.input)
           ~started:(Sched.now t.sched -. delay)
-          ~cause:item.cause
+          ~cause:(Iq.last_cause t.input)
     | None -> ());
-    handle_work t item;
+    handle_work t ~src work;
     observe_load t;
     if t.adaptive then rearm_running_timers t;
     activity t;
@@ -600,11 +681,24 @@ let enqueue t ?(cause = -1) ~src ~dest work =
       | Update_msg _ -> t.msgs_in_window <- t.msgs_in_window + 1
       | _ -> ())
     end;
-    Iq.push t.input { Iq.src; dest; payload = work; cause; enqueued = Sched.now t.sched };
+    Iq.add t.input ~src ~dest ~cause ~enqueued:(Sched.now t.sched) work;
     observe_load t;
     if t.adaptive then rearm_running_timers t;
     if not t.busy then begin_next t
   end
+
+(* Every path the router keeps: the roots of its share of the path
+   table's sweep. *)
+let iter_paths t f =
+  Rib.iter_paths t.rib f;
+  List.iter (fun peer -> Hashtbl.iter (fun _ p -> f p) peer.advertised) t.peer_states;
+  Hashtbl.iter (fun _ (_, p, _) -> f p) t.parked
+
+let create ~sched ~rng ~paths ~config ~id ~asn ~degree ?tracer cb =
+  let t = make ~sched ~rng ~paths ~config ~id ~asn ~degree ?tracer cb in
+  t.complete_cb <- (fun () -> complete t);
+  Path.add_roots paths (iter_paths t);
+  t
 
 let receive t ?cause ~src update =
   enqueue t ?cause ~src ~dest:(update_dest update) (Update_msg update)
@@ -696,6 +790,7 @@ let fail t =
   if not t.failed then begin
     t.failed <- true;
     t.busy <- false;
+    t.work <- Peer_down_msg;
     Iq.clear t.input;
     Hashtbl.iter (fun _ peer -> cancel_peer_timers t peer) t.peers
   end

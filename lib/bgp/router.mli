@@ -65,8 +65,11 @@ val create :
   t
 (** [degree] is the value the degree-dependent MRAI scheme keys on
     (inter-AS degree of the router).  [paths] is the run's shared AS-path
-    interning table ({!Path}): all routers of one network must use the
-    same table so exchanged paths compare by pointer. *)
+    interning table ({!Path}): all routers of one network (or shard) must
+    use the same table so exchanged paths compare by pointer.  The router
+    registers the paths it keeps (Adj-RIB-In, Loc-RIB, Adj-RIB-Out,
+    parked routes) as roots of [paths], so the table sweeps itself
+    ({!Path.add_roots}). *)
 
 val id : t -> router_id
 val asn : t -> as_id

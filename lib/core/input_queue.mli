@@ -2,7 +2,12 @@
     contribution (Section 4.4).
 
     [Fifo] is default BGP: update messages are processed strictly in
-    arrival order.
+    arrival order.  It is a growable ring of parallel arrays (one per
+    item field, times unboxed), so a queued item costs no cell or option
+    box and a queue thousands deep holds no per-item records; a vacated
+    slot is cleared, so the queue never keeps a processed payload alive.
+    The other disciplines keep doubly-linked cells indexed by
+    (source, destination) for O(1) stale-update elimination.
 
     [Batched] keeps one logical queue per destination (the paper suggests
     hashing; we use a hash table keyed by destination).  All queued updates
@@ -45,8 +50,23 @@ val discipline : 'a t -> discipline
 
 val push : 'a t -> 'a item -> unit
 
+val add : 'a t -> src:int -> dest:int -> cause:int -> enqueued:float -> 'a -> unit
+(** [push] of the item with these fields, without building the record
+    ([Fifo] stores the fields directly). *)
+
 val pop : 'a t -> 'a item option
 (** Next message to process under the queue's discipline. *)
+
+val take : 'a t -> 'a
+(** Remove the next message, like [pop], and return its payload without
+    allocating; the rest of its fields stay readable through
+    [last_src] .. [last_enqueued] until the next [take].
+    @raise Invalid_argument if the queue is empty. *)
+
+val last_src : 'a t -> int
+val last_dest : 'a t -> int
+val last_cause : 'a t -> int
+val last_enqueued : 'a t -> float
 
 val length : 'a t -> int
 (** Messages currently queued. *)

@@ -50,7 +50,9 @@ type shard_memory = {
   routers : int;
   rib_entries : int;  (** Adj-RIB-In entries across the shard's routers *)
   rib_bytes : int;
-  path_nodes : int;  (** interned path nodes in the shard's table *)
+  path_nodes : int;
+      (** path nodes the shard's hashcons table holds now (swept ones
+          excluded) *)
   path_bytes : int;
   sched_max_live : int;  (** slab occupancy high-water *)
   sched_slab_cap : int;

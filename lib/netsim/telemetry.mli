@@ -71,7 +71,9 @@ type shard_memory = {
   routers : int;
   rib_entries : int;  (** Adj-RIB-In entries across the shard's routers *)
   rib_bytes : int;  (** estimated, from [Rib.approx_bytes]'s word model *)
-  path_nodes : int;  (** interned path nodes in the shard's hashcons table *)
+  path_nodes : int;
+      (** path nodes the shard's hashcons table holds now (swept ones
+          excluded) *)
   path_bytes : int;
   sched_max_live : int;  (** event-slab occupancy high-water *)
   sched_slab_cap : int;  (** event-slab capacity *)

@@ -87,11 +87,14 @@ let settle net adj ~config ~paths ~dest =
   drain ();
   best
 
-(* Scratch interning table for a sharded network: the settling pass is
-   orchestrator-side and must not touch any shard's table (results are
-   rehomed per owner at install time). *)
+(* A network with more than one shard settles in a scratch interning
+   table: the settling pass is orchestrator-side and must not touch any
+   shard's table (results are rehomed per owner at install time).  With
+   one table — sequential, or one shard — it settles straight into it. *)
+let single_table net = Network.shard_count net = 1
+
 let settle_table net =
-  if Network.is_sharded net then Bgp_proto.Path.create_table () else Network.paths net
+  if single_table net then Network.paths net else Bgp_proto.Path.create_table ()
 
 let best_paths net ~dest =
   let adj = session_adjacency net in
@@ -117,13 +120,13 @@ let install net =
   let adj = session_adjacency net in
   let config = Network.bgp_config net in
   let paths = settle_table net in
-  (* Sharded: every path a router keeps must live in its own shard's
-     interning table (rank keys are structural, so rehoming changes no
-     decision). *)
+  (* Several shards: every path a router keeps must live in its own
+     shard's interning table (rank keys are structural, so rehoming
+     changes no decision). *)
   let rehome =
-    if Network.is_sharded net then fun u p ->
+    if single_table net then fun _ p -> p
+    else fun u p ->
       Bgp_proto.Path.of_list (Network.paths_for net u) (Bgp_proto.Path.hops p)
-    else fun _ p -> p
   in
   Bgp_proto.Config.iter_active_dests config ~n_ases:topo.Topology.n_ases @@ fun dest ->
     let best = settle net adj ~config ~paths ~dest in

@@ -581,11 +581,100 @@ let test_router_metrics () =
   checkb "adverts counted" true (m.Router.adverts_sent >= 3);
   checkb "withdrawal counted" true (m.Router.withdrawals_sent >= 1)
 
+(* --- Path: interning under sweeps ------------------------------------------- *)
+
+let test_sweep_keeps_root_spines () =
+  let t = Path.create_table () in
+  let a = Path.of_list t [ 1; 2; 3 ] and b = Path.of_list t [ 4; 5 ] in
+  Path.add_roots t (fun f -> f a);
+  Path.sweep t;
+  checki "only the root's spine is kept" 3 (Path.table_stats t).Path.nodes;
+  checki "interned-ever count unchanged" 5 (Path.unique_count t);
+  checkb "root re-interns to itself" true (Path.of_list t [ 1; 2; 3 ] == a);
+  checkb "suffix of the root kept" true
+    (Path.hops (Path.of_list t [ 2; 3 ]) == List.tl (Path.hops a));
+  let b' = Path.of_list t [ 4; 5 ] in
+  checkb "swept path re-interns to a fresh node" true (b' != b && Path.equal b b');
+  checkb "with a fresh id" true (Path.id b' > Path.id b);
+  checkb "consing onto a swept path" true
+    (Path.hops (Path.cons t 9 b) = [ 9; 4; 5 ])
+
+(* Model test: random interleavings of cons, root changes and sweeps.
+   Every path ever built keeps agreeing with its hop-list model, consing
+   onto any of them (swept or not) succeeds, and an id names one node
+   forever. *)
+type path_op = Cons of int * int | Root of int | Unroot of int | Sweep
+
+let gen_path_ops =
+  QCheck.make
+    ~print:(fun ops ->
+      String.concat ";"
+        (List.map
+           (function
+             | Cons (i, a) -> Printf.sprintf "cons(%d,%d)" i a
+             | Root i -> Printf.sprintf "root(%d)" i
+             | Unroot i -> Printf.sprintf "unroot(%d)" i
+             | Sweep -> "sweep")
+           ops))
+    QCheck.Gen.(
+      list_size (1 -- 150)
+        (frequency
+           [
+             (6, map2 (fun i a -> Cons (i, a)) (0 -- 1000) (0 -- 7));
+             (2, map (fun i -> Root i) (0 -- 1000));
+             (1, map (fun i -> Unroot i) (0 -- 1000));
+             (1, return Sweep);
+           ]))
+
+let prop_path_model_under_sweeps =
+  QCheck.Test.make ~name:"path: cons/sweep interleavings agree with a list model" ~count:300
+    gen_path_ops (fun ops ->
+      let t = Path.create_table () in
+      let known = Hashtbl.create 64 in
+      (* index -> (path, model); 0 is the empty path *)
+      Hashtbl.replace known 0 (Path.empty, []);
+      let roots = Hashtbl.create 16 in
+      Path.add_roots t (fun f ->
+          Hashtbl.iter (fun i () -> f (fst (Hashtbl.find known i))) roots);
+      let by_id = Hashtbl.create 64 and max_id = ref 0 and ok = ref true in
+      let pick i = i mod Hashtbl.length known in
+      List.iter
+        (function
+          | Cons (i, asn) ->
+            let tail, model = Hashtbl.find known (pick i) in
+            let p = Path.cons t asn tail in
+            (match Hashtbl.find_opt by_id (Path.id p) with
+            | Some q -> if q != p then ok := false
+            | None ->
+              if Path.id p <= !max_id then ok := false;
+              max_id := Path.id p;
+              Hashtbl.replace by_id (Path.id p) p);
+            Hashtbl.replace known (Hashtbl.length known) (p, asn :: model)
+          | Root i -> Hashtbl.replace roots (pick i) ()
+          | Unroot i -> Hashtbl.remove roots (pick i)
+          | Sweep -> Path.sweep t)
+        ops;
+      let all = Hashtbl.fold (fun _ pm acc -> pm :: acc) known [] in
+      List.iter
+        (fun (p, m) ->
+          if Path.hops p <> m || Path.length p <> List.length m then ok := false;
+          for a = 0 to 8 do
+            if Path.contains p a <> List.mem a m then ok := false
+          done;
+          List.iter (fun (q, mq) -> if Path.equal p q <> (m = mq) then ok := false) all)
+        all;
+      !ok)
+
 let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "bgp"
     [
       ("types", [ Alcotest.test_case "path helpers" `Quick test_path_helpers ]);
+      ( "path",
+        [
+          Alcotest.test_case "sweep keeps root spines" `Quick test_sweep_keeps_root_spines;
+          qc prop_path_model_under_sweeps;
+        ] );
       ( "rib",
         [
           Alcotest.test_case "shortest path wins" `Quick test_rib_shortest_path_wins;

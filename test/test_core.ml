@@ -394,6 +394,88 @@ let prop_batched_last_write_wins =
         (fun i -> Hashtbl.find_opt newest (i.Iq.src, i.Iq.dest) = Some i.Iq.payload)
         (drain q))
 
+(* The Fifo ring against Stdlib.Queue: random pushes, pops, takes and
+   clears drive it through growth (from empty, doubling past 16) and
+   wrap-around (pops free the front while pushes fill the back). *)
+
+type ring_op = Rpush | Rpop | Rtake | Rclear
+
+let gen_ring_ops =
+  QCheck.make
+    ~print:(fun ops ->
+      String.concat ";"
+        (List.map
+           (function Rpush -> "push" | Rpop -> "pop" | Rtake -> "take" | Rclear -> "clear")
+           ops))
+    QCheck.Gen.(
+      list_size (1 -- 400)
+        (frequency
+           [ (10, return Rpush); (5, return Rpop); (3, return Rtake); (1, return Rclear) ]))
+
+let prop_fifo_ring_is_a_queue =
+  QCheck.Test.make ~name:"fifo ring behaves as Queue" ~count:300 gen_ring_ops (fun ops ->
+      let q = Iq.create Iq.Fifo and model = Queue.create () in
+      let tag = ref 0 in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Rpush ->
+            incr tag;
+            let i =
+              { Iq.src = !tag mod 7; dest = !tag mod 11; payload = !tag; cause = - !tag;
+                enqueued = float_of_int !tag /. 4.0 }
+            in
+            Iq.push q i;
+            Queue.push i model;
+            true
+          | Rpop -> Iq.pop q = Queue.take_opt model
+          | Rtake -> (
+            match Queue.take_opt model with
+            | None -> (try ignore (Iq.take q); false with Invalid_argument _ -> true)
+            | Some i ->
+              let payload = Iq.take q in
+              payload = i.Iq.payload
+              && Iq.last_src q = i.Iq.src
+              && Iq.last_dest q = i.Iq.dest
+              && Iq.last_cause q = i.Iq.cause
+              && Iq.last_enqueued q = i.Iq.enqueued)
+          | Rclear ->
+            Iq.clear q;
+            Queue.clear model;
+            true)
+          && Iq.length q = Queue.length model)
+        ops)
+
+(* A popped, taken or cleared payload is not kept alive by the ring's
+   vacated slot. *)
+let fill_tracked q w =
+  for i = 0 to Weak.length w - 1 do
+    let payload = Bytes.make 64 'x' in
+    Weak.set w i (Some payload);
+    Iq.push q (item i i payload)
+  done
+[@@inline never]
+
+let remove_three q =
+  ignore (Iq.pop q);
+  ignore (Iq.take q);
+  ignore (Iq.pop q)
+[@@inline never]
+
+let test_fifo_releases_payloads () =
+  let q = Iq.create Iq.Fifo in
+  let w = Weak.create 5 in
+  fill_tracked q w;
+  remove_three q;
+  Gc.full_major ();
+  for i = 0 to 2 do
+    checkb (Printf.sprintf "payload %d collected once removed" i) false (Weak.check w i)
+  done;
+  checkb "queued payloads stay alive" true (Weak.check w 3 && Weak.check w 4);
+  Iq.clear q;
+  Gc.full_major ();
+  checkb "cleared payloads collected" false (Weak.check w 3 || Weak.check w 4)
+
 let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "core"
@@ -436,6 +518,8 @@ let () =
           qc (prop_conservation Iq.Batched);
           qc (prop_conservation (Iq.Tcp_batch { batch_size = 4 }));
           qc prop_batched_last_write_wins;
+          qc prop_fifo_ring_is_a_queue;
+          Alcotest.test_case "fifo releases payloads" `Quick test_fifo_releases_payloads;
         ] );
       ( "damping",
         [

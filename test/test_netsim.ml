@@ -349,6 +349,55 @@ let test_detection_delay_config () =
   let r = Runner.run scenario in
   checkb "delay includes detection" true (r.Runner.convergence_delay >= 5.0)
 
+(* --- Bounded path memory ------------------------------------------------- *)
+
+(* After a flat n=40 network converges, its path table holds at most
+   [sweep_multiple] times the distinct paths its routers reach (every
+   Adj-RIB-In, Loc-RIB and Adj-RIB-Out path and each of its suffixes,
+   counted by hop sequence): the table swept away what convergence
+   interned and dropped. *)
+let test_path_table_bounded () =
+  let module Path = Bgp_proto.Path in
+  let module Rib = Bgp_proto.Rib in
+  let rng = Rng.create 3 in
+  let topo = Topology.flat rng ~spec:Degree_dist.skewed_70_30 ~n:40 in
+  let sched = Sched.create () in
+  let net =
+    Network.build ~sched ~rng:(Rng.create 4)
+      ~config:(Network.config_default Config.(with_mrai (Static 0.5) default))
+      topo
+  in
+  Network.start_all net;
+  Sched.run sched;
+  let reachable = Hashtbl.create 4096 in
+  let rec add = function
+    | [] -> ()
+    | _ :: rest as hops ->
+      if not (Hashtbl.mem reachable hops) then begin
+        Hashtbl.replace reachable hops ();
+        add rest
+      end
+  in
+  let visit p = add (Path.hops p) in
+  for r = 0 to Network.num_routers net - 1 do
+    let router = Network.router net r in
+    let rib = Router.rib router in
+    Rib.iter_dests rib (fun d ->
+        List.iter (fun (e : Rib.entry) -> visit e.Rib.path) (Rib.entries_in rib d);
+        Option.iter visit (Rib.best_path rib d);
+        List.iter
+          (fun peer -> Option.iter visit (Router.advertised_to router ~peer d))
+          (Router.peer_ids router))
+  done;
+  let paths = Network.paths net in
+  let nodes = (Path.table_stats paths).Path.nodes in
+  checkb "the table swept during the run" true (Path.unique_count paths > nodes);
+  checkb
+    (Printf.sprintf "%d nodes <= %d x %d reachable" nodes Path.sweep_multiple
+       (Hashtbl.length reachable))
+    true
+    (nodes <= Path.sweep_multiple * Hashtbl.length reachable)
+
 (* --- Overload census (the mechanism behind the V-curve, Section 4.1) ------ *)
 
 let overload_census ~mrai ~frac =
@@ -829,6 +878,8 @@ let () =
         ] );
       ( "overload",
         [
+          Alcotest.test_case "path table bounded by live paths" `Quick
+            test_path_table_bounded;
           Alcotest.test_case "high-degree nodes overload first" `Quick
             test_overload_hits_high_degree_nodes;
           Alcotest.test_case "overload shrinks at high MRAI" `Quick
