@@ -82,7 +82,7 @@ let entry_of_key key path =
    every row (rare: peers are seen during warm-up).  The Loc-RIB holds
    the selection as the option [best] returns, so reading it allocates
    nothing, and [decide] allocates only when the selection changes. *)
-module Peers = Hashtbl.Make (Int)
+module Peers = Int_tbl
 
 type t = {
   asn : as_id;

@@ -19,12 +19,15 @@ type peer_state = {
   mutable timer_running : bool;
   mutable timer_event : Sched.event_id option;
   (* Per-dest MRAI mode: destinations with a running timer. *)
-  dest_timers : (dest, Sched.event_id) Hashtbl.t;
-  (* Pending destinations, with (when last marked pending, trace cause id).
-     Both extras are ignored when tracing is off. *)
-  pending : (dest, float * int) Hashtbl.t;
-  advertised : (dest, path) Hashtbl.t;  (* Adj-RIB-Out *)
-  flaps : (dest, int) Hashtbl.t;
+  dest_timers : Sched.event_id Dest_map.t;
+  (* Pending destinations: value = trace cause id, time = when last marked
+     pending.  Both are ignored when tracing is off. *)
+  pending : int Dest_map.t;
+  (* Adj-RIB-Out, indexed by destination ([unset] where nothing is
+     advertised): nearly every destination is advertised to every peer,
+     so a flat array is smaller than any map. *)
+  mutable advertised : path array;
+  flaps : int Dest_map.t;
       (* route changes since the last paced flush (Flap_threshold bypass) *)
 }
 
@@ -55,9 +58,7 @@ type t = {
   paths : Path.table;  (* the run's shared AS-path interning table *)
   rib : Rib.t;
   input : work Iq.t;
-  peers : (router_id, peer_state) Hashtbl.t;
-  mutable peer_list : router_id list;  (* ascending, for deterministic iteration *)
-  mutable peer_states : peer_state list;  (* same order as [peer_list] *)
+  mutable peers : peer_state array;  (* ascending peer id: binary-searched *)
   ebgp_controller : Mrai.t;
   ibgp_controller : Mrai.t;
   mean_proc : float;
@@ -77,13 +78,14 @@ type t = {
   delay : Float.Array.t;  (* its sampled processing delay, unboxed *)
   mutable complete_cb : unit -> unit;  (* [complete t], allocated once *)
   (* Export context of the selection being exported, set by
-     [prepare_export]: the Loc-RIB selection and, once an eBGP peer
-     needs it, the selection's path with our AS prepended — consed once
-     per selection instead of once per peer. *)
+     [prepare_export]: the destination and its Loc-RIB selection. *)
+  mutable ex_dest : dest;
   mutable ex_best : Rib.best option;
-  mutable ex_prepended : path;
-  mutable ex_has_prepended : bool;
   mutable ex_target : path;  (* set by [has_target] *)
+  (* Per destination, the Loc-RIB selection's path with our AS prepended
+     ([unset] until an eBGP peer needs it): consed once per selection,
+     not once per peer and flush. *)
+  mutable prepended : path array;
   mutable busy : bool;
   mutable failed : bool;
   mutable last_level : int;  (* for dynamic_restart_timers *)
@@ -120,9 +122,7 @@ let make ~sched ~rng ~paths ~config ~id ~asn ~degree ?tracer cb =
     paths;
     rib = Rib.create ~asn;
     input = Iq.create config.Config.queue_discipline;
-    peers = Hashtbl.create 16;
-    peer_list = [];
-    peer_states = [];
+    peers = [||];
     ebgp_controller;
     ibgp_controller = Mrai.make (Static config.Config.ibgp_mrai) ~degree;
     mean_proc = Dist.mean config.Config.processing_delay;
@@ -133,10 +133,10 @@ let make ~sched ~rng ~paths ~config ~id ~asn ~degree ?tracer cb =
     work = Peer_down_msg;
     delay = Float.Array.make 1 0.0;
     complete_cb = ignore;
+    ex_dest = -1;
     ex_best = None;
-    ex_prepended = Path.empty;
-    ex_has_prepended = false;
     ex_target = Path.empty;
+    prepended = [||];
     busy = false;
     failed = false;
     last_level = 0;
@@ -162,16 +162,27 @@ let asn t = t.asn
 let current_cause t = t.cur_cause
 let rib t = t.rib
 let is_failed t = t.failed
-let peer_ids t = t.peer_list
+let peer_ids t = Array.to_list (Array.map (fun p -> p.peer_id) t.peers)
 let queue_length t = Iq.length t.input
 let is_busy t = t.busy
 
+(* The slot of peer [id] in [t.peers], or -1. *)
+let find_peer t id =
+  let rec search lo hi =
+    if lo > hi then -1
+    else
+      let mid = (lo + hi) lsr 1 in
+      let p = t.peers.(mid).peer_id in
+      if p = id then mid else if p < id then search (mid + 1) hi else search lo (mid - 1)
+  in
+  search 0 (Array.length t.peers - 1)
+
 let add_peer t ~peer ~peer_as ~kind ?relationship () =
-  if Hashtbl.mem t.peers peer then invalid_arg "Router.add_peer: duplicate peer";
+  if find_peer t peer >= 0 then invalid_arg "Router.add_peer: duplicate peer";
   let controller =
     match kind with Ebgp -> t.ebgp_controller | Ibgp -> t.ibgp_controller
   in
-  Hashtbl.replace t.peers peer
+  let state =
     {
       peer_id = peer;
       peer_as;
@@ -181,14 +192,42 @@ let add_peer t ~peer ~peer_as ~kind ?relationship () =
       up = true;
       timer_running = false;
       timer_event = None;
-      dest_timers = Hashtbl.create 8;
-      pending = Hashtbl.create 8;
-      advertised = Hashtbl.create 64;
-      flaps = Hashtbl.create 8;
-    };
-  t.peer_list <- List.merge Int.compare [ peer ] t.peer_list;
-  t.peer_states <-
-    List.map (fun pid -> Hashtbl.find t.peers pid) t.peer_list
+      dest_timers = Dest_map.create ();
+      pending = Dest_map.create ();
+      advertised = [||];
+      flaps = Dest_map.create ();
+    }
+  in
+  t.peers <-
+    Array.of_list
+      (List.merge
+         (fun a b -> Int.compare a.peer_id b.peer_id)
+         [ state ] (Array.to_list t.peers))
+
+(* --- Per-destination arrays ------------------------------------------- *)
+
+(* Marks an absent entry in the Adj-RIB-Out and prepend arrays: a node of
+   a private table, so no route ever holds it. *)
+let unset = Path.cons (Path.create_table ()) 0 Path.empty
+
+let lookup arr dest = if dest >= 0 && dest < Array.length arr then arr.(dest) else unset
+
+(* [arr] with room for [dest], grown by doubling like the RIB. *)
+let reserve arr dest =
+  if dest < Array.length arr then arr
+  else begin
+    let grown = Array.make (max (dest + 1) (2 * Array.length arr)) unset in
+    Array.blit arr 0 grown 0 (Array.length arr);
+    grown
+  end
+
+let advertised peer dest = lookup peer.advertised dest
+
+let set_advertised peer dest path =
+  peer.advertised <- reserve peer.advertised dest;
+  peer.advertised.(dest) <- path
+
+let is_advertised peer dest = advertised peer dest != unset
 
 (* --- Load window ------------------------------------------------------- *)
 
@@ -239,34 +278,42 @@ let effective_interval t peer =
 
 let send_advert t peer dest path =
   t.adverts_sent <- t.adverts_sent + 1;
-  Hashtbl.replace peer.advertised dest path;
+  set_advertised peer dest path;
   t.cb.send ~src:t.id ~dst:peer.peer_id (Advertise { dest; path });
   activity t
 
 let send_withdraw t peer dest =
   t.withdrawals_sent <- t.withdrawals_sent + 1;
-  Hashtbl.remove peer.advertised dest;
+  set_advertised peer dest unset;
   t.cb.send ~src:t.id ~dst:peer.peer_id (Withdraw dest);
   activity t
 
 let base_path = function Rib.Local -> Path.empty | Rib.Learned e -> e.Rib.path
 
-(* Load the export context for [dest]'s current selection; the eBGP
-   prepend is consed on first use (see [sent_path]). *)
+(* Load the export context for [dest]'s current selection. *)
 let prepare_export t dest =
-  t.ex_best <- Rib.best t.rib dest;
-  t.ex_has_prepended <- false
+  t.ex_dest <- dest;
+  t.ex_best <- Rib.best t.rib dest
 
-(* The path [peer] is sent for the prepared selection [best]. *)
+(* The Loc-RIB selection of [dest] changed: its prepend is stale. *)
+let forget_prepended t dest =
+  if dest < Array.length t.prepended then t.prepended.(dest) <- unset
+
+(* The path [peer] is sent for the prepared selection [best]; the eBGP
+   prepend is consed on first use after a selection change. *)
 let sent_path t peer best =
   match peer.kind with
   | Ibgp -> base_path best
   | Ebgp ->
-    if not t.ex_has_prepended then begin
-      t.ex_prepended <- Path.cons t.paths t.asn (base_path best);
-      t.ex_has_prepended <- true
-    end;
-    t.ex_prepended
+    let dest = t.ex_dest in
+    let cached = lookup t.prepended dest in
+    if cached != unset then cached
+    else begin
+      let p = Path.cons t.paths t.asn (base_path best) in
+      t.prepended <- reserve t.prepended dest;
+      t.prepended.(dest) <- p;
+      p
+    end
 
 (* What should [peer] currently be told about the prepared destination?
    [Export.target] without the option box and with the prepend shared
@@ -288,14 +335,13 @@ let has_target t peer =
 
 (* Is [path] what [peer] currently holds for [dest]? *)
 let advertised_as peer dest path =
-  match Hashtbl.find peer.advertised dest with
-  | advertised -> path_equal path advertised
-  | exception Not_found -> false
+  let held = advertised peer dest in
+  held != unset && path_equal path held
 
 let timer_idle t peer dest =
   match t.config.Config.mrai_mode with
   | Config.Per_peer -> not peer.timer_running
-  | Config.Per_dest -> not (Hashtbl.mem peer.dest_timers dest)
+  | Config.Per_dest -> not (Dest_map.mem peer.dest_timers dest)
 
 (* Flush one pending destination against the prepared selection ([has]
    is [has_target t peer]).  Returns [true] if an MRAI-limited message (an
@@ -307,7 +353,7 @@ let flush_target t peer dest ~has =
       send_advert t peer dest t.ex_target;
       true
     end
-  else if Hashtbl.mem peer.advertised dest then begin
+  else if is_advertised peer dest then begin
     send_withdraw t peer dest;
     t.config.Config.mrai_on_withdrawals
   end
@@ -320,7 +366,7 @@ let flush_dest t peer dest =
 (* Mark [dest] pending towards [peer], remembering when it became
    MRAI-eligible and which event made it so (for the Mrai_flush trace
    event recorded at timer expiry). *)
-let pend t peer dest = Hashtbl.replace peer.pending dest (Sched.now t.sched, t.cur_cause)
+let pend t peer dest = Dest_map.set peer.pending dest t.cur_cause (Sched.now t.sched)
 
 (* About to flush [dest] at timer expiry: record the Mrai_flush event and
    make it the cause of the updates the flush emits. *)
@@ -342,18 +388,20 @@ and on_peer_timer t peer =
   peer.timer_running <- false;
   peer.timer_event <- None;
   if (not t.failed) && peer.up then begin
-    let dests = Hashtbl.fold (fun d rc acc -> (d, rc) :: acc) peer.pending [] in
-    let dests = List.sort (fun (a, _) (b, _) -> Int.compare a b) dests in
-    Hashtbl.reset peer.pending;
-    Hashtbl.reset peer.flaps;
-    let sent =
-      List.fold_left
-        (fun acc (d, (ready, cause)) ->
-          set_flush_cause t peer d ~ready ~cause;
-          if flush_dest t peer d then true else acc)
-        false dests
-    in
-    if sent then start_timer t peer
+    (* Flushed in ascending destination order, the map's own order.  A
+       flush only sends (delivery goes through the scheduler), so the
+       map is not touched while it is walked. *)
+    let pending = peer.pending in
+    Dest_map.clear peer.flaps;
+    let sent = ref false in
+    for i = 0 to Dest_map.length pending - 1 do
+      let d = Dest_map.key pending i in
+      set_flush_cause t peer d ~ready:(Dest_map.time pending i)
+        ~cause:(Dest_map.value pending i);
+      if flush_dest t peer d then sent := true
+    done;
+    Dest_map.clear pending;
+    if !sent then start_timer t peer
   end
 
 let rec start_dest_timer t peer dest =
@@ -362,19 +410,21 @@ let rec start_dest_timer t peer dest =
     let ev =
       Sched.schedule t.sched ~delay:interval (fun () -> on_dest_timer t peer dest)
     in
-    Hashtbl.replace peer.dest_timers dest ev
+    Dest_map.set peer.dest_timers dest ev 0.0
   end
 
 and on_dest_timer t peer dest =
-  Hashtbl.remove peer.dest_timers dest;
-  if (not t.failed) && peer.up then
-    match Hashtbl.find_opt peer.pending dest with
-    | None -> ()
-    | Some (ready, cause) ->
-      Hashtbl.remove peer.pending dest;
-      Hashtbl.remove peer.flaps dest;
+  Dest_map.remove peer.dest_timers dest;
+  if (not t.failed) && peer.up then begin
+    let i = Dest_map.find peer.pending dest in
+    if i >= 0 then begin
+      let ready = Dest_map.time peer.pending i and cause = Dest_map.value peer.pending i in
+      Dest_map.remove peer.pending dest;
+      Dest_map.remove peer.flaps dest;
       set_flush_cause t peer dest ~ready ~cause;
       if flush_dest t peer dest then start_dest_timer t peer dest
+    end
+  end
 
 let after_send t peer dest =
   match t.config.Config.mrai_mode with
@@ -392,25 +442,23 @@ let cancel_gate_timer t peer dest =
       peer.timer_event <- None;
       peer.timer_running <- false
     | None -> ())
-  | Config.Per_dest -> (
-    match Hashtbl.find_opt peer.dest_timers dest with
-    | Some ev ->
-      Sched.cancel t.sched ev;
-      Hashtbl.remove peer.dest_timers dest
-    | None -> ())
+  | Config.Per_dest ->
+    let i = Dest_map.find peer.dest_timers dest in
+    if i >= 0 then begin
+      Sched.cancel t.sched (Dest_map.value peer.dest_timers i);
+      Dest_map.remove peer.dest_timers dest
+    end
 
 (* Deshpande-Sikdar method 1: is the new export strictly better than what
    the peer currently holds? *)
 let is_improvement peer dest path =
-  match Hashtbl.find peer.advertised dest with
-  | advertised -> path_length path < path_length advertised
-  | exception Not_found -> true
+  let held = advertised peer dest in
+  held == unset || path_length path < path_length held
 
 let bump_flaps peer dest =
-  let count =
-    1 + match Hashtbl.find peer.flaps dest with n -> n | exception Not_found -> 0
-  in
-  Hashtbl.replace peer.flaps dest count;
+  let i = Dest_map.find peer.flaps dest in
+  let count = if i >= 0 then Dest_map.value peer.flaps i + 1 else 1 in
+  Dest_map.set peer.flaps dest count 0.0;
   count
 
 (* A route change for [dest] happened: decide what (if anything) to tell
@@ -420,7 +468,7 @@ let schedule_export t peer dest =
   if peer.up then
     if has_target t peer then begin
       let path = t.ex_target in
-      if advertised_as peer dest path then Hashtbl.remove peer.pending dest
+      if advertised_as peer dest path then Dest_map.remove peer.pending dest
       else if timer_idle t peer dest then begin
         ignore (flush_target t peer dest ~has:true);
         after_send t peer dest
@@ -432,7 +480,7 @@ let schedule_export t peer dest =
         | Config.Cancel_on_improvement ->
           if is_improvement peer dest path then begin
             cancel_gate_timer t peer dest;
-            Hashtbl.remove peer.pending dest;
+            Dest_map.remove peer.pending dest;
             ignore (flush_target t peer dest ~has:true);
             after_send t peer dest
           end
@@ -442,13 +490,13 @@ let schedule_export t peer dest =
             (* Below the flap threshold the MRAI is not applied to this
                destination: the update goes out immediately and the gate
                timer is left untouched. *)
-            Hashtbl.remove peer.pending dest;
+            Dest_map.remove peer.pending dest;
             ignore (flush_target t peer dest ~has:true)
           end
           else pend t peer dest
       end
     end
-    else if Hashtbl.mem peer.advertised dest then begin
+    else if is_advertised peer dest then begin
       if t.config.Config.mrai_on_withdrawals then begin
         if timer_idle t peer dest then begin
           ignore (flush_target t peer dest ~has:false);
@@ -458,17 +506,17 @@ let schedule_export t peer dest =
       end
       else begin
         (* RFC behaviour: withdrawals are not rate-limited. *)
-        Hashtbl.remove peer.pending dest;
+        Dest_map.remove peer.pending dest;
         send_withdraw t peer dest
       end
     end
-    else Hashtbl.remove peer.pending dest
+    else Dest_map.remove peer.pending dest
 
-let rec export_to_all t dest = function
-  | [] -> ()
-  | peer :: rest ->
-    schedule_export t peer dest;
-    export_to_all t dest rest
+let export_to_all t dest =
+  let peers = t.peers in
+  for i = 0 to Array.length peers - 1 do
+    schedule_export t peers.(i) dest
+  done
 
 (* Paper Section 5 "future work": apply a dynamic level change to running
    timers immediately (re-armed with the new interval from now) instead of
@@ -478,7 +526,7 @@ let rearm_running_timers t =
   if level <> t.last_level then begin
     t.last_level <- level;
     if t.config.Config.dynamic_restart_timers then
-      List.iter
+      Array.iter
         (fun peer ->
           if peer.up && peer.kind = Ebgp then
             match t.config.Config.mrai_mode with
@@ -492,19 +540,15 @@ let rearm_running_timers t =
                 start_timer t peer
               end
             | Config.Per_dest ->
-              let dests =
-                List.sort Int.compare
-                  (Hashtbl.fold (fun d _ acc -> d :: acc) peer.dest_timers [])
-              in
+              let timers = peer.dest_timers in
+              let dests = List.init (Dest_map.length timers) (Dest_map.key timers) in
               List.iter
                 (fun d ->
-                  (match Hashtbl.find_opt peer.dest_timers d with
-                  | Some ev -> Sched.cancel t.sched ev
-                  | None -> ());
-                  Hashtbl.remove peer.dest_timers d;
+                  Sched.cancel t.sched (Dest_map.value timers (Dest_map.find timers d));
+                  Dest_map.remove timers d;
                   start_dest_timer t peer d)
                 dests)
-        t.peer_states
+        t.peers
   end
 
 let reconsider t dest =
@@ -514,8 +558,9 @@ let reconsider t dest =
     | Some f -> f dest (Sched.now t.sched)
     | None -> ());
     activity t;
+    forget_prepended t dest;
     prepare_export t dest;
-    export_to_all t dest t.peer_states
+    export_to_all t dest
   end
 
 (* --- Flap damping (RFC 2439) -------------------------------------------- *)
@@ -531,8 +576,8 @@ let rec schedule_reuse_check t damping ~src ~dest =
     ignore
       (Sched.schedule t.sched ~delay (fun () ->
            if not t.failed then
-             match Hashtbl.find_opt t.peers src with
-             | Some peer when peer.up ->
+             match find_peer t src with
+             | i when i >= 0 && t.peers.(i).up ->
                if Damping.is_suppressed damping ~peer:src ~dest ~now:(Sched.now t.sched)
                then schedule_reuse_check t damping ~src ~dest
                else begin
@@ -550,7 +595,7 @@ let rec schedule_reuse_check t damping ~src ~dest =
                    activity t
                  | None -> ()
                end
-             | Some _ | None -> ()))
+             | _ -> ()))
 
 let apply_update_with_damping t damping peer ~src update =
   let now = Sched.now t.sched in
@@ -579,10 +624,10 @@ let apply_update_with_damping t damping peer ~src update =
 
 let handle_work t ~src work =
   match work with
-  | Update_msg update -> (
-    match Hashtbl.find t.peers src with
-    | exception Not_found -> ()
-    | peer ->
+  | Update_msg update ->
+    let i = find_peer t src in
+    if i >= 0 then begin
+      let peer = t.peers.(i) in
       if peer.up then begin
         (match t.damping with
         | Some damping -> apply_update_with_damping t damping peer ~src update
@@ -597,7 +642,8 @@ let handle_work t ~src work =
                 path
           | Withdraw dest -> Rib.withdraw_in t.rib dest ~peer:src));
         reconsider t (update_dest update)
-      end)
+      end
+    end
   | Peer_down_msg ->
     (* Parked (suppressed) routes from the dead peer must go too; collect
        the stale keys first (mutating under iteration is unspecified)
@@ -610,10 +656,10 @@ let handle_work t ~src work =
     List.iter (Hashtbl.remove t.parked) stale;
     let affected = Rib.drop_peer t.rib ~peer:src in
     List.iter (reconsider t) (List.sort Int.compare affected)
-  | Peer_up_msg -> (
-    match Hashtbl.find_opt t.peers src with
-    | None -> ()
-    | Some peer ->
+  | Peer_up_msg ->
+    let i = find_peer t src in
+    if i >= 0 then begin
+      let peer = t.peers.(i) in
       if peer.up then begin
         (* Session re-establishment: both sides start from a clean slate
            (whatever survived the down/up race is dropped) and re-announce
@@ -636,7 +682,8 @@ let handle_work t ~src work =
             prepare_export t d;
             schedule_export t peer d)
           (List.sort Int.compare !dests)
-      end)
+      end
+    end
 
 let rec begin_next t =
   if Iq.is_empty t.input then t.busy <- false
@@ -691,7 +738,7 @@ let enqueue t ?(cause = -1) ~src ~dest work =
    table's sweep. *)
 let iter_paths t f =
   Rib.iter_paths t.rib f;
-  List.iter (fun peer -> Hashtbl.iter (fun _ p -> f p) peer.advertised) t.peer_states;
+  Array.iter (fun peer -> Array.iter (fun p -> if p != unset then f p) peer.advertised) t.peers;
   Hashtbl.iter (fun _ (_, p, _) -> f p) t.parked
 
 let create ~sched ~rng ~paths ~config ~id ~asn ~degree ?tracer cb =
@@ -710,37 +757,39 @@ let cancel_peer_timers t peer =
     peer.timer_event <- None;
     peer.timer_running <- false
   | None -> ());
-  Hashtbl.iter (fun _ ev -> Sched.cancel t.sched ev) peer.dest_timers;
-  Hashtbl.reset peer.dest_timers
+  for i = 0 to Dest_map.length peer.dest_timers - 1 do
+    Sched.cancel t.sched (Dest_map.value peer.dest_timers i)
+  done;
+  Dest_map.clear peer.dest_timers
 
 let peer_down t ?cause peer_id =
-  if not t.failed then
-    match Hashtbl.find_opt t.peers peer_id with
-    | None -> ()
-    | Some peer ->
-      if peer.up then begin
-        peer.up <- false;
-        cancel_peer_timers t peer;
-        Hashtbl.reset peer.pending;
-        Hashtbl.reset peer.flaps;
-        enqueue t ?cause ~src:peer_id ~dest:(-1) Peer_down_msg
-      end
+  let i = find_peer t peer_id in
+  if (not t.failed) && i >= 0 then begin
+    let peer = t.peers.(i) in
+    if peer.up then begin
+      peer.up <- false;
+      cancel_peer_timers t peer;
+      Dest_map.clear peer.pending;
+      Dest_map.clear peer.flaps;
+      enqueue t ?cause ~src:peer_id ~dest:(-1) Peer_down_msg
+    end
+  end
 
 let peer_up t ?cause peer_id =
-  if not t.failed then
-    match Hashtbl.find_opt t.peers peer_id with
-    | None -> ()
-    | Some peer ->
-      if not peer.up then begin
-        peer.up <- true;
-        (* Forget the Adj-RIB-Out now: the peer lost everything we ever
-           sent when its side processed the session drop, so the re-sync
-           (the queued [Peer_up_msg]) must re-advertise from scratch. *)
-        Hashtbl.reset peer.advertised;
-        Hashtbl.reset peer.pending;
-        Hashtbl.reset peer.flaps;
-        enqueue t ?cause ~src:peer_id ~dest:(-1) Peer_up_msg
-      end
+  let i = find_peer t peer_id in
+  if (not t.failed) && i >= 0 then begin
+    let peer = t.peers.(i) in
+    if not peer.up then begin
+      peer.up <- true;
+      (* Forget the Adj-RIB-Out now: the peer lost everything we ever
+         sent when its side processed the session drop, so the re-sync
+         (the queued [Peer_up_msg]) must re-advertise from scratch. *)
+      peer.advertised <- [||];
+      Dest_map.clear peer.pending;
+      Dest_map.clear peer.flaps;
+      enqueue t ?cause ~src:peer_id ~dest:(-1) Peer_up_msg
+    end
+  end
 
 let start t =
   List.iter
@@ -774,17 +823,20 @@ let warm_install t ~dest ~local ~entries ~advertised =
   if local then Rib.originate t.rib dest;
   List.iter (fun (peer, kind, path) -> Rib.set_in t.rib dest ~peer ~kind path) entries;
   ignore (Rib.decide t.rib dest);
+  forget_prepended t dest;
   List.iter
     (fun (peer_id, path) ->
-      match Hashtbl.find_opt t.peers peer_id with
-      | Some peer -> Hashtbl.replace peer.advertised dest path
-      | None -> invalid_arg "Router.warm_install: unknown peer")
+      let i = find_peer t peer_id in
+      if i < 0 then invalid_arg "Router.warm_install: unknown peer";
+      set_advertised t.peers.(i) dest path)
     advertised
 
 let advertised_to t ~peer dest =
-  match Hashtbl.find_opt t.peers peer with
-  | None -> None
-  | Some p -> Hashtbl.find_opt p.advertised dest
+  let i = find_peer t peer in
+  if i < 0 then None
+  else
+    let held = advertised t.peers.(i) dest in
+    if held == unset then None else Some held
 
 let fail t =
   if not t.failed then begin
@@ -792,7 +844,7 @@ let fail t =
     t.busy <- false;
     t.work <- Peer_down_msg;
     Iq.clear t.input;
-    Hashtbl.iter (fun _ peer -> cancel_peer_timers t peer) t.peers
+    Array.iter (fun peer -> cancel_peer_timers t peer) t.peers
   end
 
 (* --- Inspection --------------------------------------------------------- *)

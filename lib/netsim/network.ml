@@ -997,8 +997,7 @@ let build_sharded ~shards ~owner ~lookahead ~rng ~config ?telemetry topo =
             match m.m_update with
             | Types.Withdraw _ as u -> u
             | Types.Advertise { dest; path } ->
-              Types.Advertise
-                { dest; path = Bgp_proto.Path.of_list ctx.spaths (Bgp_proto.Path.hops path) }
+              Types.Advertise { dest; path = Bgp_proto.Path.intern ctx.spaths path }
         in
         ignore
           (Sched.schedule_at ctx.ssched ~time:m.m_arrival (fun () ->

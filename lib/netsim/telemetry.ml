@@ -62,7 +62,7 @@ type memory = {
   per_shard : shard_memory list;  (** sorted by shard *)
   rib_bytes_total : int;
   path_bytes_total : int;
-  path_sharing : float;  (** naive hop storage / shared-spine storage *)
+  path_sharing : float;  (** naive hop storage / shared-node storage *)
   trace_len : int;
   trace_cap : int;
   trace_dropped : int;

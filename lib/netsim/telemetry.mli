@@ -85,7 +85,7 @@ type memory = {
   rib_bytes_total : int;
   path_bytes_total : int;
   path_sharing : float;
-      (** naive per-path hop storage over actual shared-spine storage *)
+      (** naive per-path hop storage over actual shared-node storage *)
   trace_len : int;  (** events held in the trace ring *)
   trace_cap : int;
   trace_dropped : int;

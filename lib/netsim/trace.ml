@@ -150,9 +150,12 @@ let buf_update buf update =
   match update with
   | Types.Advertise { dest; path } ->
     Printf.bprintf buf "{\"kind\":\"advertise\",\"dest\":%d,\"path\":[" dest;
-    List.iteri
-      (fun i asn -> Printf.bprintf buf "%s%d" (if i > 0 then "," else "") asn)
-      (Path.hops path);
+    ignore
+      (Path.fold_hops
+         (fun sep asn ->
+           Printf.bprintf buf "%s%d" sep asn;
+           ",")
+         "" path);
     Buffer.add_string buf "]}"
   | Types.Withdraw dest -> Printf.bprintf buf "{\"kind\":\"withdraw\",\"dest\":%d}" dest
 

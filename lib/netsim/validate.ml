@@ -62,13 +62,15 @@ let check net ~failure =
         | Some path ->
           if not alive_as.(origin) then report r dest "retains a route to a dead AS"
           else begin
-            let hops = Bgp_proto.Path.hops path in
-            (match List.find_opt (fun asn -> not alive_as.(asn)) hops with
-            | Some dead -> report r dest (Printf.sprintf "path crosses dead AS %d" dead)
-            | None -> ());
+            let dead =
+              Bgp_proto.Path.fold_hops
+                (fun dead asn -> if dead < 0 && not alive_as.(asn) then asn else dead)
+                (-1) path
+            in
+            if dead >= 0 then report r dest (Printf.sprintf "path crosses dead AS %d" dead);
             (match relationships with
             | Some rels ->
-              if not (Relationships.valley_free rels ~self:r hops) then
+              if not (Relationships.valley_free rels ~self:r (Bgp_proto.Path.hops path)) then
                 report r dest "selected path is not valley-free"
             | None -> ());
             match forwarding_chain net topo failure ~r ~dest ~origin with

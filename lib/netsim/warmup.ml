@@ -125,8 +125,7 @@ let install net =
      changes no decision). *)
   let rehome =
     if single_table net then fun _ p -> p
-    else fun u p ->
-      Bgp_proto.Path.of_list (Network.paths_for net u) (Bgp_proto.Path.hops p)
+    else fun u p -> Bgp_proto.Path.intern (Network.paths_for net u) p
   in
   Bgp_proto.Config.iter_active_dests config ~n_ases:topo.Topology.n_ases @@ fun dest ->
     let best = settle net adj ~config ~paths ~dest in

@@ -591,18 +591,43 @@ let test_sweep_keeps_root_spines () =
   checki "only the root's spine is kept" 3 (Path.table_stats t).Path.nodes;
   checki "interned-ever count unchanged" 5 (Path.unique_count t);
   checkb "root re-interns to itself" true (Path.of_list t [ 1; 2; 3 ] == a);
-  checkb "suffix of the root kept" true
-    (Path.hops (Path.of_list t [ 2; 3 ]) == List.tl (Path.hops a));
+  checkb "suffix of the root kept" true (Path.cons t 1 (Path.of_list t [ 2; 3 ]) == a);
   let b' = Path.of_list t [ 4; 5 ] in
   checkb "swept path re-interns to a fresh node" true (b' != b && Path.equal b b');
   checkb "with a fresh id" true (Path.id b' > Path.id b);
   checkb "consing onto a swept path" true
     (Path.hops (Path.cons t 9 b) = [ 9; 4; 5 ])
 
+(* A root consed onto a swept tail is not kept: its chain leaves the
+   memo, so the next sweep drops it (and keeps only what else reaches
+   [Empty] through memoised nodes). *)
+let test_sweep_drops_root_on_swept_tail () =
+  let t = Path.create_table () in
+  let b = Path.of_list t [ 4; 5 ] in
+  let roots = ref [] in
+  Path.add_roots t (fun f -> List.iter f !roots);
+  Path.sweep t;
+  checki "nothing rooted, nothing kept" 0 (Path.table_stats t).Path.nodes;
+  let c = Path.cons t 9 b in
+  roots := [ c ];
+  checki "the new node is memoised" 1 (Path.table_stats t).Path.nodes;
+  Path.sweep t;
+  checki "a root on a swept tail is dropped" 0 (Path.table_stats t).Path.nodes;
+  checkb "and stays a valid path" true (Path.hops c = [ 9; 4; 5 ] && Path.length c = 3);
+  let c' = Path.of_list t [ 9; 4; 5 ] in
+  roots := [ c; c' ];
+  Path.sweep t;
+  checki "its fresh twin is kept whole" 3 (Path.table_stats t).Path.nodes;
+  checkb "twins are equal, not identical" true (Path.equal c c' && c != c')
+
 (* Model test: random interleavings of cons, root changes and sweeps.
    Every path ever built keeps agreeing with its hop-list model, consing
    onto any of them (swept or not) succeeds, and an id names one node
-   forever. *)
+   forever.  A reference memo, keyed like the table's by (tail id, head),
+   predicts every hit and miss and, after each sweep, the kept set by the
+   bottom-up rule over hop lists: resolve a root's hops from the origin
+   up through the memo, keeping each node found, and stop at the first
+   hop whose node the memo no longer holds. *)
 type path_op = Cons of int * int | Root of int | Unroot of int | Sweep
 
 let gen_path_ops =
@@ -637,22 +662,58 @@ let prop_path_model_under_sweeps =
       Path.add_roots t (fun f ->
           Hashtbl.iter (fun i () -> f (fst (Hashtbl.find known i))) roots);
       let by_id = Hashtbl.create 64 and max_id = ref 0 and ok = ref true in
+      (* Reference memo: (tail id, head) -> id; ids of each known path's
+         chain, head first, for the kept-set rule. *)
+      let ref_memo = Hashtbl.create 64 and chains = Hashtbl.create 64 in
+      Hashtbl.replace chains 0 [];
+      let ref_sweep () =
+        let kept = Hashtbl.create 64 in
+        let rec resolve hops ids =
+          match (hops, ids) with
+          | [], [] -> 0
+          | asn :: hops, id :: ids ->
+            let tail = resolve hops ids in
+            if tail >= 0 && Hashtbl.find_opt ref_memo (tail, asn) = Some id then begin
+              Hashtbl.replace kept id ();
+              id
+            end
+            else -1
+          | _ -> invalid_arg "chain and hops differ in length"
+        in
+        Hashtbl.iter
+          (fun i () ->
+            let _, model = Hashtbl.find known i in
+            ignore (resolve model (Hashtbl.find chains i)))
+          roots;
+        Hashtbl.filter_map_inplace
+          (fun _ id -> if Hashtbl.mem kept id then Some id else None)
+          ref_memo
+      in
       let pick i = i mod Hashtbl.length known in
       List.iter
         (function
           | Cons (i, asn) ->
-            let tail, model = Hashtbl.find known (pick i) in
+            let j = pick i in
+            let tail, model = Hashtbl.find known j in
             let p = Path.cons t asn tail in
+            (match Hashtbl.find_opt ref_memo (Path.id tail, asn) with
+            | Some id -> if Path.id p <> id then ok := false
+            | None -> Hashtbl.replace ref_memo (Path.id tail, asn) (Path.id p));
             (match Hashtbl.find_opt by_id (Path.id p) with
             | Some q -> if q != p then ok := false
             | None ->
               if Path.id p <= !max_id then ok := false;
               max_id := Path.id p;
               Hashtbl.replace by_id (Path.id p) p);
-            Hashtbl.replace known (Hashtbl.length known) (p, asn :: model)
+            let k = Hashtbl.length known in
+            Hashtbl.replace known k (p, asn :: model);
+            Hashtbl.replace chains k (Path.id p :: Hashtbl.find chains j)
           | Root i -> Hashtbl.replace roots (pick i) ()
           | Unroot i -> Hashtbl.remove roots (pick i)
-          | Sweep -> Path.sweep t)
+          | Sweep ->
+            Path.sweep t;
+            ref_sweep ();
+            if (Path.table_stats t).Path.nodes <> Hashtbl.length ref_memo then ok := false)
         ops;
       let all = Hashtbl.fold (fun _ pm acc -> pm :: acc) known [] in
       List.iter
@@ -665,6 +726,53 @@ let prop_path_model_under_sweeps =
         all;
       !ok)
 
+(* --- Dest_map: sorted sparse per-peer maps ------------------------------- *)
+
+type dm_op = Set of int * int | Remove of int | Clear
+
+let prop_dest_map_model =
+  let module M = Map.Make (Int) in
+  QCheck.Test.make ~name:"dest_map: set/remove/clear agree with Map" ~count:300
+    (QCheck.make
+       QCheck.Gen.(
+         list_size (0 -- 300)
+           (frequency
+              [
+                (6, map2 (fun d v -> Set (d, v)) (0 -- 60) (0 -- 1000));
+                (3, map (fun d -> Remove d) (0 -- 60));
+                (1, return Clear);
+              ])))
+    (fun ops ->
+      let t = Bgp_proto.Dest_map.create () in
+      let model =
+        List.fold_left
+          (fun m op ->
+            match op with
+            | Set (d, v) ->
+              Bgp_proto.Dest_map.set t d v (float_of_int (d + v));
+              M.add d v m
+            | Remove d ->
+              Bgp_proto.Dest_map.remove t d;
+              M.remove d m
+            | Clear ->
+              Bgp_proto.Dest_map.clear t;
+              M.empty)
+          M.empty ops
+      in
+      let slots =
+        List.init (Bgp_proto.Dest_map.length t) (fun i ->
+            let d = Bgp_proto.Dest_map.key t i in
+            ( d,
+              Bgp_proto.Dest_map.value t i,
+              Bgp_proto.Dest_map.time t i,
+              Bgp_proto.Dest_map.find t d = i ))
+      in
+      slots
+      = List.map (fun (d, v) -> (d, v, float_of_int (d + v), true)) (M.bindings model)
+      && List.for_all
+           (fun d -> Bgp_proto.Dest_map.mem t d = M.mem d model)
+           (List.init 62 Fun.id))
+
 let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "bgp"
@@ -673,8 +781,11 @@ let () =
       ( "path",
         [
           Alcotest.test_case "sweep keeps root spines" `Quick test_sweep_keeps_root_spines;
+          Alcotest.test_case "sweep drops a root on a swept tail" `Quick
+            test_sweep_drops_root_on_swept_tail;
           qc prop_path_model_under_sweeps;
         ] );
+      ("dest_map", [ qc prop_dest_map_model ]);
       ( "rib",
         [
           Alcotest.test_case "shortest path wins" `Quick test_rib_shortest_path_wins;

@@ -77,6 +77,47 @@ let test_rng_shuffle_permutation () =
   Array.sort Int.compare sorted;
   check Alcotest.(array int) "a permutation" (Array.init 50 Fun.id) sorted
 
+(* Known answers: the first draws of [Rng.create 42].  Every seeded
+   result in the repository depends on this stream, so a change to the
+   generator's representation must reproduce it exactly. *)
+let test_rng_known_answers () =
+  let t = Rng.create 42 in
+  List.iter
+    (fun want -> check Alcotest.int64 "int64 draw" want (Rng.int64 t))
+    [ -7450291807549245335L; 2958219263312191191L; 3069497704473277141L; 885919558081284366L ];
+  let t = Rng.create 42 in
+  List.iter
+    (fun want -> checkb (Printf.sprintf "float draw %h" want) true (Rng.float t = want))
+    [ 0x1.31367e26140c7p-1; 0x1.486da5f92b86cp-3; 0x1.54c85f31d00d8p-3 ];
+  let t = Rng.create 42 in
+  List.iter (fun want -> checki "int draw" want (Rng.int t 1000)) [ 140; 595; 570 ]
+
+(* A draw does not box the generator state: [Rng.float] allocates only
+   its float result (2 words), [Rng.int] nothing. *)
+let test_rng_draws_do_not_box_state () =
+  let t = Rng.create 1 in
+  let draws = 10_000 in
+  let sum = ref 0.0 and acc = ref 0 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to draws do
+    sum := !sum +. Rng.float t
+  done;
+  let w1 = Gc.minor_words () in
+  for _ = 1 to draws do
+    acc := !acc + Rng.int t 1000
+  done;
+  let w2 = Gc.minor_words () in
+  let per w = w /. float_of_int draws in
+  checkb
+    (Printf.sprintf "float: %.2f words per draw <= 2" (per (w1 -. w0)))
+    true
+    (per (w1 -. w0) <= 2.01);
+  checkb
+    (Printf.sprintf "int: %.2f words per draw = 0" (per (w2 -. w1)))
+    true
+    (per (w2 -. w1) < 0.01);
+  checkb "draws used" true (!sum > 0.0 && !acc > 0)
+
 (* --- Dist --------------------------------------------------------------- *)
 
 let test_dist_uniform_bounds () =
@@ -422,6 +463,9 @@ let () =
           Alcotest.test_case "split independence" `Quick test_rng_split_independent;
           Alcotest.test_case "mean" `Quick test_rng_mean;
           Alcotest.test_case "shuffle permutes" `Quick test_rng_shuffle_permutation;
+          Alcotest.test_case "known answers" `Quick test_rng_known_answers;
+          Alcotest.test_case "draws do not box the state" `Quick
+            test_rng_draws_do_not_box_state;
         ] );
       ( "dist",
         [
