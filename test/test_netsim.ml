@@ -595,6 +595,26 @@ let test_trace_records_network_events () =
       (Trace.between trace ~lo:time ~hi:infinity <> [])
   | None -> Alcotest.fail "no failure event"
 
+(* A spill base whose directory does not exist yet (a fresh campaign
+   directory) must not fail: [Runner.traced] creates the parents. *)
+let test_traced_creates_spill_dir () =
+  let root = Filename.temp_file "bgp_traced" "" in
+  Sys.remove root;
+  let base = Filename.concat (Filename.concat root "missing") "t.jsonl" in
+  let pairs = Runner.traced ~spill_base:base (std_scenario ~n:12 ()) ~trials:2 in
+  let results = List.map (fun (s, _) -> Runner.run s) pairs in
+  let written = Runner.finalize_traced pairs results in
+  checki "one sidecar per trial" 2 (List.length written);
+  List.iter
+    (fun (s, _) ->
+      checkb "spill file written" true
+        (Sys.file_exists (Runner.trace_path ~base ~seed:s.Runner.seed)))
+    pairs;
+  let dir = Filename.dirname base in
+  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+  Sys.rmdir dir;
+  Sys.rmdir root
+
 (* --- Multiple prefixes per AS (Section 5 scaling argument) ----------------- *)
 
 let test_prefixes_per_as_routes () =
@@ -894,6 +914,8 @@ let () =
           Alcotest.test_case "clear resets" `Quick test_trace_clear_resets;
           Alcotest.test_case "records network events" `Quick
             test_trace_records_network_events;
+          Alcotest.test_case "traced creates the spill directory" `Quick
+            test_traced_creates_spill_dir;
         ] );
       ( "prefixes",
         [
