@@ -236,7 +236,12 @@ let run_main opts trials jobs trace_n trace_file probe_interval telemetry_dir pr
        sequential order for any job count. *)
     let results, pairs =
       if want_trace then begin
-        let pairs = Runner.traced ?spill_base:trace_file scenario ~trials in
+        let pairs =
+          try Runner.traced ?spill_base:trace_file scenario ~trials
+          with Sys_error m ->
+            Fmt.epr "error: --trace-file: %s@." m;
+            exit 1
+        in
         let results = Bgp_engine.Pool.map ~jobs Runner.run (List.map fst pairs) in
         (results, Some pairs)
       end

@@ -506,6 +506,7 @@ let trace_path ~base ~seed =
 
 let traced ?capacity ?spill_base s ~trials =
   if trials <= 0 then invalid_arg "Runner.traced: trials must be positive";
+  Option.iter (fun base -> Telemetry.mkdir_p (Filename.dirname base)) spill_base;
   List.init trials (fun i ->
       let seed = s.seed + i in
       let spill = Option.map (fun base -> trace_path ~base ~seed) spill_base in

@@ -158,10 +158,12 @@ val traced :
   (scenario * Trace.t) list
 (** Expand a scenario into [trials] per-trial scenarios (seeds [seed],
     [seed+1], ...), each with a fresh {!Trace.t} attached; with
-    [spill_base] each trace spills to {!trace_path}[ ~base:spill_base].
+    [spill_base] each trace spills to {!trace_path}[ ~base:spill_base],
+    and the spill directory is created first if it is missing.
     The traces are returned so the caller can inspect, {!Trace.finalize}
     or close them after running.
-    @raise Invalid_argument if [trials <= 0]. *)
+    @raise Invalid_argument if [trials <= 0].
+    @raise Sys_error if a spill file cannot be created. *)
 
 val finalize_traced :
   ?sidecars:bool -> (scenario * Trace.t) list -> result list -> string list

@@ -135,6 +135,10 @@ val report_json : report -> string
     progress series and counter snapshot, without the bulky per-router
     samples. *)
 
+val mkdir_p : string -> unit
+(** Create a directory and its missing parents; an existing one is fine.
+    @raise Sys_error if a component cannot be created. *)
+
 val export : dir:string -> ?prefix:string -> report -> string list
 (** Write all six artifacts into [dir] (created if missing), each file
     name prefixed with [prefix]; returns the paths written. *)
