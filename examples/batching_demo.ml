@@ -33,7 +33,7 @@ let run_once discipline =
   let sched = Sched.create () in
   let sent = ref 0 in
   let cb =
-    { Router.send = (fun ~src:_ ~dst:_ _ -> incr sent); activity = (fun ~time:_ -> ()) }
+    { Router.send = (fun ~src:_ ~dst:_ _ _ -> incr sent); activity = (fun ~time:_ -> ()) }
   in
   let config =
     {

@@ -3,18 +3,12 @@ open Types
 (* Valley-free rule: a route learned from a peer or a provider may only
    be exported to customers.  Local routes and customer routes go to
    everyone.  Sessions without relationship metadata are unrestricted. *)
-let valley_free_allows ~peer_rel best =
-  match best with
-  | Rib.Local -> true
-  | Rib.Learned e -> (
-    match e.Rib.rel with
-    | None | Some Customer -> true
-    | Some (Peer_link | Provider) -> peer_rel = Some Customer)
-
-let passes ~peer_kind ?peer_rel best =
+let passes_key ~peer_kind ?peer_rel key =
   match peer_kind with
-  | Ibgp -> Rib.ibgp_exportable best
-  | Ebgp -> valley_free_allows ~peer_rel best
+  | Ibgp -> Rib.key_ibgp_exportable key
+  | Ebgp -> (not (Rib.key_restricted key)) || peer_rel = Some Customer
+
+let passes ~peer_kind ?peer_rel best = passes_key ~peer_kind ?peer_rel (Rib.key_of_best best)
 
 let loop_blocked ~config ~peer_as path =
   config.Config.sender_side_loop_check && path_contains path peer_as

@@ -11,6 +11,10 @@ val passes : peer_kind:session_kind -> ?peer_rel:relationship -> Rib.best -> boo
     an iBGP peer, and — when relationships are configured — a route
     learned from a peer or a provider is only sent to customers. *)
 
+val passes_key : peer_kind:session_kind -> ?peer_rel:relationship -> int -> bool
+(** {!passes} on a Loc-RIB selection key ({!Rib.selection_key}): what the
+    router's export path reads, without building the selection. *)
+
 val loop_blocked : config:Config.t -> peer_as:as_id -> path -> bool
 (** Sender-side loop check: would [peer_as] drop this path as a loop? *)
 

@@ -79,9 +79,11 @@ let entry_of_key key path =
    peer gets a slot the first time it is seen; the Adj-RIB-In is one row
    of [width] slots per destination, stored as two parallel arrays
    (slot keys and paths) at [dest * width + slot].  A new peer widens
-   every row (rare: peers are seen during warm-up).  The Loc-RIB holds
-   the selection as the option [best] returns, so reading it allocates
-   nothing, and [decide] allocates only when the selection changes. *)
+   every row (rare: peers are seen during warm-up).  The Loc-RIB is two
+   more arrays indexed by destination: the selection's slot key
+   ([vacant] when there is none, [local_key] for a local route) and its
+   path, so [decide] writes two words when the selection changes and
+   allocates nothing. *)
 module Peers = Int_tbl
 
 type t = {
@@ -91,7 +93,8 @@ type t = {
   mutable cap : int;  (* destinations with a row *)
   mutable keys : int array;  (* cap * width slot keys, [vacant] if empty *)
   mutable paths : path array;  (* cap * width; [Path.empty] if empty *)
-  mutable loc : best option array;  (* Loc-RIB, per destination *)
+  mutable loc_key : int array;  (* Loc-RIB selection key per destination *)
+  mutable loc_path : path array;  (* its path; [Path.empty] if none or local *)
   mutable flags : Bytes.t;  (* per destination: [local] / [touched] bits *)
   mutable entries : int;
   mutable loc_count : int;
@@ -108,7 +111,8 @@ let create ~asn =
     cap = 0;
     keys = [||];
     paths = [||];
-    loc = [||];
+    loc_key = [||];
+    loc_path = [||];
     flags = Bytes.empty;
     entries = 0;
     loc_count = 0;
@@ -133,11 +137,13 @@ let reserve t dest =
   if dest >= t.cap then begin
     let cap = max (dest + 1) (2 * t.cap) in
     relayout t ~cap ~width:t.width;
-    let loc = Array.make cap None in
-    Array.blit t.loc 0 loc 0 t.cap;
+    let loc_key = Array.make cap vacant and loc_path = Array.make cap Path.empty in
+    Array.blit t.loc_key 0 loc_key 0 t.cap;
+    Array.blit t.loc_path 0 loc_path 0 t.cap;
     let flags = Bytes.make cap '\000' in
     Bytes.blit t.flags 0 flags 0 t.cap;
-    t.loc <- loc;
+    t.loc_key <- loc_key;
+    t.loc_path <- loc_path;
     t.flags <- flags;
     t.cap <- cap
   end
@@ -217,72 +223,69 @@ let entries_in t dest =
       (List.sort (fun (a, _) (b, _) -> Int.compare a b) !acc)
   end
 
-let ibgp_exportable = function
-  | Local -> true
-  | Learned { kind = Ebgp; _ } -> true
-  | Learned { kind = Ibgp; _ } -> false
+(* A selection key's facts the export filters read.  [local_key] (0) is
+   the local route: below every learned key, whose peer bits are at
+   least 1.  In a slot key the session-kind bit is bit 32 and the
+   preference class sits from bit 57; a key is restricted iff it carries
+   a relationship of class peer or provider. *)
+let local_key = 0
+let no_selection = vacant
+let key_ibgp_exportable key = key = local_key || key land (1 lsl 32) = 0
+let key_restricted key = key land 1 = 1 && key lsr 57 >= 1
 
-(* Allocation-free equivalent of comparing the old [export_identity]
-   options: two selections are export-equivalent iff they agree on the
-   advertised path and on iBGP re-exportability (Local counts as the
-   empty path and exportable, exactly as before). *)
-let same_export before after =
-  match (before, after) with
-  | None, None -> true
-  | None, Some _ | Some _, None -> false
-  | Some Local, Some Local -> true
-  | Some Local, Some (Learned e) | Some (Learned e), Some Local ->
-    path_length e.path = 0 && ibgp_exportable (Learned e)
-  | Some (Learned a), Some (Learned b) ->
-    path_equal a.path b.path
-    && ibgp_exportable (Learned a) = ibgp_exportable (Learned b)
-
-let some_local = Some Local
+let key_of_best = function Local -> local_key | Learned e -> entry_key e
 
 (* The minimum slot key of the row is the selection: keys are unique
    within a row (the peer id is part of the key), so the scan order
-   cannot matter.  A selection equal to the current one (same key, same
-   path node) keeps the current Loc-RIB value instead of allocating. *)
-let select t dest before =
-  if flag t dest local_bit then some_local
-  else begin
-    let best = ref (-1) and best_key = ref vacant in
-    for i = dest * t.width to ((dest + 1) * t.width) - 1 do
-      let k = t.keys.(i) in
-      if k < !best_key then begin
-        best_key := k;
-        best := i
-      end
-    done;
-    if !best < 0 then None
-    else
-      let path = t.paths.(!best) in
-      match before with
-      | Some (Learned e) when e.path == path && entry_key e = !best_key -> before
-      | _ -> Some (Learned (entry_of_key !best_key path))
-  end
+   cannot matter.  Returns the row index of the minimum, or -1. *)
+let select t dest =
+  let best = ref (-1) and best_key = ref vacant in
+  for i = dest * t.width to ((dest + 1) * t.width) - 1 do
+    let k = t.keys.(i) in
+    if k < !best_key then begin
+      best_key := k;
+      best := i
+    end
+  done;
+  !best
+
+(* Two selections are export-equivalent iff they agree on the advertised
+   path and on iBGP re-exportability; a local route counts as the empty
+   path and exportable. *)
+let same_export ka pa kb pb =
+  if ka = vacant || kb = vacant then ka = kb
+  else path_equal pa pb && key_ibgp_exportable ka = key_ibgp_exportable kb
 
 let decide t dest =
   reserve t dest;
-  let before = t.loc.(dest) in
-  let after = select t dest before in
-  if before == after then false
+  let key, path =
+    if flag t dest local_bit then (local_key, Path.empty)
+    else
+      let i = select t dest in
+      if i < 0 then (vacant, Path.empty) else (t.keys.(i), t.paths.(i))
+  in
+  let before_key = t.loc_key.(dest) and before_path = t.loc_path.(dest) in
+  if key = before_key && path == before_path then false
   else begin
-    (match (before, after) with
-    | None, Some _ -> t.loc_count <- t.loc_count + 1
-    | Some _, None -> t.loc_count <- t.loc_count - 1
-    | _ -> ());
-    t.loc.(dest) <- after;
-    not (same_export before after)
+    if before_key = vacant then t.loc_count <- t.loc_count + 1
+    else if key = vacant then t.loc_count <- t.loc_count - 1;
+    t.loc_key.(dest) <- key;
+    t.loc_path.(dest) <- path;
+    not (same_export before_key before_path key path)
   end
 
-let best t dest = if dest >= 0 && dest < t.cap then t.loc.(dest) else None
+let selection_key t dest = if dest >= 0 && dest < t.cap then t.loc_key.(dest) else vacant
+let selection_path t dest = if dest >= 0 && dest < t.cap then t.loc_path.(dest) else Path.empty
+
+let best t dest =
+  let key = selection_key t dest in
+  if key = vacant then None
+  else if key = local_key then Some Local
+  else Some (Learned (entry_of_key key t.loc_path.(dest)))
 
 let best_path t dest =
-  match best t dest with
-  | None -> None
-  | Some Local -> Some Path.empty
-  | Some (Learned e) -> Some e.path
+  let key = selection_key t dest in
+  if key = vacant then None else Some t.loc_path.(dest)
 
 let loc_size t = t.loc_count
 let in_entries t = t.entries
@@ -291,39 +294,34 @@ let iter_paths t f =
   for i = 0 to (t.cap * t.width) - 1 do
     if t.keys.(i) <> vacant then f t.paths.(i)
   done;
-  Array.iter (function Some (Learned e) -> f e.path | Some Local | None -> ()) t.loc
+  for dest = 0 to t.cap - 1 do
+    if t.loc_key.(dest) <> vacant then f t.loc_path.(dest)
+  done
 
 (* Estimated resident size in bytes.  A fixed word model over the
    layout's capacities and counts, not a heap walk, so the number is
    deterministic (it depends only on what the router was told, never on
    hashing or GC state) and cheap to take mid-run:
-     record          header + 10 fields (11)
+     record          header + 11 fields (12)
      peer index      Hashtbl header (5) + bucket array (8 + 1)
                      + one bucket cons (4) per peer
      slot arrays     two arrays of cap * width words, one header each
-     Loc-RIB         one word per destination + header; per learned
-                     selection Some (2) + Learned (2) + entry (5)
+     Loc-RIB         two arrays of cap words (key, path), one header each
      flags           one byte per destination, rounded up, + header
    AS-path storage is shared through the hashcons table and accounted
    there ([Path.table_stats]), not per RIB. *)
 let approx_bytes t =
   let word = Sys.word_size / 8 in
-  let learned =
-    Array.fold_left
-      (fun acc b -> match b with Some (Learned _) -> acc + 1 | Some Local | None -> acc)
-      0 t.loc
-  in
   let words =
-    11
+    12
     + (14 + (4 * t.width))
     + (2 * ((t.cap * t.width) + 1))
-    + (t.cap + 1 + (9 * learned))
+    + (2 * (t.cap + 1))
     + (((t.cap + word - 1) / word) + 1)
   in
   words * word
 
-let visible t dest =
-  match t.loc.(dest) with Some _ -> true | None -> Bytes.get t.flags dest <> '\000'
+let visible t dest = t.loc_key.(dest) <> vacant || Bytes.get t.flags dest <> '\000'
 
 let num_dests t =
   let n = ref 0 in

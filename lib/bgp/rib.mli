@@ -10,9 +10,11 @@
     indexed by destination.  Each peer gets a slot the first time it is
     seen, and the Adj-RIB-In row of a destination is one slot per peer:
     a packed key (rank plus relationship bit) and a path, two words, so
-    {!set_in} allocates nothing.  The Loc-RIB keeps the selection as the
-    option {!best} returns; {!decide} allocates only when the selection
-    changes. *)
+    {!set_in} allocates nothing.  The Loc-RIB is flat too: per
+    destination, the selection's slot key ({!selection_key}) and its path
+    ({!selection_path}), so {!decide} allocates nothing, also when the
+    selection changes.  The hot export path reads those two; {!best}
+    rebuilds the [best option] on demand for cold callers. *)
 
 open Types
 
@@ -67,15 +69,37 @@ val decide : t -> dest -> bool
     best path, its existence, or its iBGP re-exportability). *)
 
 val best : t -> dest -> best option
-(** Current Loc-RIB selection, if any. *)
+(** Current Loc-RIB selection, if any.  Allocates the option and entry on
+    each call: the hot path reads {!selection_key} and {!selection_path}
+    instead. *)
+
+val no_selection : int
+(** The {!selection_key} of a destination without a selection. *)
+
+val selection_key : t -> dest -> int
+(** Packed key of the current selection: [no_selection] if none, [0] for
+    a local route, otherwise the Adj-RIB-In slot key of the chosen entry
+    (its rank, session kind and relationship class; see {!key_of_best}).
+    Reading it allocates nothing. *)
+
+val selection_path : t -> dest -> path
+(** Path of the current selection; [Path.empty] for a local route or no
+    selection. *)
+
+val key_of_best : best -> int
+(** The selection key {!selection_key} reports for [best]. *)
+
+val key_ibgp_exportable : int -> bool
+(** On a selection key, the standard full-mesh iBGP rule: only local and
+    eBGP-learned routes are re-advertised to iBGP peers. *)
+
+val key_restricted : int -> bool
+(** On a selection key: the route was learned from a peer or a provider,
+    so the valley-free rule exports it to customers only. *)
 
 val best_path : t -> dest -> path option
 (** Path of the current selection; [Some Path.empty] for a local
     route. *)
-
-val ibgp_exportable : best -> bool
-(** Standard full-mesh iBGP rule: only local and eBGP-learned routes are
-    re-advertised to iBGP peers. *)
 
 val iter_paths : t -> (path -> unit) -> unit
 (** Visit every path the Adj-RIB-In and Loc-RIB hold (a path may be

@@ -24,8 +24,12 @@ open Types
 type t
 
 type callbacks = {
-  send : src:router_id -> dst:router_id -> update -> unit;
-      (** deliver an update message; the network layer adds link delay *)
+  send : src:router_id -> dst:router_id -> dest -> path -> unit;
+      (** deliver an update message for [dest]: an advertisement of the
+          path, or a withdrawal when the path is {!withdrawal}.  The
+          network layer adds link delay and hands the pair to
+          {!receive_route} of [dst].  No [update] value is built on this
+          path. *)
   activity : time:float -> unit;
       (** invoked on every route-affecting action (for convergence
           detection) *)
@@ -123,10 +127,25 @@ val warm_install :
 val advertised_to : t -> peer:router_id -> dest -> path option
 (** Current Adj-RIB-Out entry (what was last advertised to the peer). *)
 
-val receive : t -> ?cause:int -> src:router_id -> update -> unit
+val withdrawal : path
+(** The path that stands for a withdrawal in {!callbacks.send} and
+    {!receive_route}: a node of a private interning table, so it is
+    never a real route and only [==] compares it. *)
+
+val receive_route : t -> ?cause:int -> src:router_id -> dest -> path -> unit
 (** Called by the network layer when a message arrives (after link
-    delay).  Enqueues the message for processing.  [cause] is the trace
-    id of the delivery event (default [-1], untraced). *)
+    delay): an advertisement of [path] for [dest], or a withdrawal of
+    [dest] when [path] is {!withdrawal}.  Enqueues it for processing;
+    the queue holds the path itself (session work uses private sentinel
+    paths), so nothing is allocated per message.  [cause] is the trace id
+    of the delivery event (default [-1], untraced). *)
+
+val to_update : dest -> path -> update
+(** The [update] value a [(dest, path)] message stands for: built only
+    where an update is data (trace records, tests). *)
+
+val receive : t -> ?cause:int -> src:router_id -> update -> unit
+(** {!receive_route} of an [update] value. *)
 
 val peer_down : t -> ?cause:int -> router_id -> unit
 (** The session to [peer] dropped: stop sending to it and enqueue the

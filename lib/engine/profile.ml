@@ -87,7 +87,7 @@ let kind_of_index = function
 
 (* --- Session state ------------------------------------------------------- *)
 
-let ring_cap = 65_536
+let ring_capacity = 65_536
 
 type recorder = {
   gen : int;
@@ -96,7 +96,13 @@ type recorder = {
   r_shards : int array;
   t0s : int64 array;
   t1s : int64 array;
-  mutable len : int;  (* total records; ring slot is [len mod ring_cap] *)
+  mutable len : int;  (* total records; ring slot is [len mod ring_capacity] *)
+  (* Exact per-(kind, shard) totals, kept online whatever the ring
+     overwrites: cell [kind * stride + shard + 1], in nanoseconds. *)
+  mutable stride : int;
+  mutable tot_ns : int array;
+  mutable tot_n : int array;
+  mutable max_ns : int array;
   acc_ns : int64 array;  (* per span kind *)
   acc_n : int array;
   gc0 : Gc.stat;  (* quick_stat at recorder creation *)
@@ -117,11 +123,15 @@ let fresh_recorder () =
     {
       gen = Atomic.get generation;
       r_dom = (Domain.self () :> int);
-      kinds = Array.make ring_cap 0;
-      r_shards = Array.make ring_cap (-1);
-      t0s = Array.make ring_cap 0L;
-      t1s = Array.make ring_cap 0L;
+      kinds = Array.make ring_capacity 0;
+      r_shards = Array.make ring_capacity (-1);
+      t0s = Array.make ring_capacity 0L;
+      t1s = Array.make ring_capacity 0L;
       len = 0;
+      stride = 0;
+      tot_ns = [||];
+      tot_n = [||];
+      max_ns = [||];
       acc_ns = Array.make n_kinds 0L;
       acc_n = Array.make n_kinds 0;
       gc0 = Gc.quick_stat ();
@@ -152,16 +162,36 @@ let start () =
   Atomic.set t_start (now_ns ());
   Atomic.set armed true
 
+(* Widen the totals to [stride] shard columns per kind. *)
+let widen r stride =
+  let regrid a =
+    let b = Array.make (n_kinds * stride) 0 in
+    for k = 0 to n_kinds - 1 do
+      Array.blit a (k * r.stride) b (k * stride) r.stride
+    done;
+    b
+  in
+  r.tot_ns <- regrid r.tot_ns;
+  r.tot_n <- regrid r.tot_n;
+  r.max_ns <- regrid r.max_ns;
+  r.stride <- stride
+
 let record kind ?(shard = -1) t0 =
   if Atomic.get armed then begin
     let t1 = now_ns () in
     let r = recorder () in
-    let slot = r.len mod ring_cap in
-    r.kinds.(slot) <- kind_index kind;
+    let ki = kind_index kind in
+    let slot = r.len mod ring_capacity in
+    r.kinds.(slot) <- ki;
     r.r_shards.(slot) <- shard;
     r.t0s.(slot) <- t0;
     r.t1s.(slot) <- t1;
-    r.len <- r.len + 1
+    r.len <- r.len + 1;
+    if shard + 1 >= r.stride then widen r (max (shard + 2) (2 * r.stride));
+    let c = (ki * r.stride) + shard + 1 and d = Int64.to_int (Int64.sub t1 t0) in
+    r.tot_ns.(c) <- r.tot_ns.(c) + d;
+    r.tot_n.(c) <- r.tot_n.(c) + 1;
+    if d > r.max_ns.(c) then r.max_ns.(c) <- d
   end
 
 let accum kind t0 =
@@ -188,6 +218,15 @@ let counter_max name v = counter_bump name v ~combine:max
 (* --- Reports ------------------------------------------------------------- *)
 
 type span = { kind : span_kind; shard : int; t0_ns : int64; t1_ns : int64 }
+
+type span_total = {
+  t_kind : span_kind;
+  t_shard : int;
+  total_ns : int64;
+  count : int;
+  max_ns : int64;
+}
+
 type accum_entry = { a_kind : span_kind; a_ns : int64; a_count : int }
 
 type gc_delta = {
@@ -203,6 +242,7 @@ type domain_report = {
   dom : int;
   spans : span list;
   dropped : int;
+  totals : span_total list;
   accums : accum_entry list;
   gc : gc_delta;
 }
@@ -216,18 +256,33 @@ type report = {
 let collect_recorder r =
   (* The recorder's own domain is quiescent (joined or ourselves) by the
      time stop runs; plain reads suffice. *)
-  let stored = min r.len ring_cap in
+  let stored = min r.len ring_capacity in
   let dropped = r.len - stored in
-  let first = if r.len > ring_cap then r.len mod ring_cap else 0 in
+  let first = if r.len > ring_capacity then r.len mod ring_capacity else 0 in
   let spans =
     List.init stored (fun i ->
-        let slot = (first + i) mod ring_cap in
+        let slot = (first + i) mod ring_capacity in
         {
           kind = kind_of_index r.kinds.(slot);
           shard = r.r_shards.(slot);
           t0_ns = r.t0s.(slot);
           t1_ns = r.t1s.(slot);
         })
+  in
+  (* Sorted by (kind, shard), the order every rendering uses. *)
+  let totals =
+    List.init (n_kinds * r.stride) Fun.id
+    |> List.filter_map (fun c ->
+           if r.tot_n.(c) = 0 then None
+           else
+             Some
+               {
+                 t_kind = kind_of_index (c / r.stride);
+                 t_shard = (c mod r.stride) - 1;
+                 total_ns = Int64.of_int r.tot_ns.(c);
+                 count = r.tot_n.(c);
+                 max_ns = Int64.of_int r.max_ns.(c);
+               })
   in
   let accums =
     List.filter_map
@@ -255,7 +310,7 @@ let collect_recorder r =
       heap_words = gc1.Gc.heap_words;
     }
   in
-  { dom = r.r_dom; spans; dropped; accums; gc }
+  { dom = r.r_dom; spans; dropped; totals; accums; gc }
 
 let stop () =
   if not (Atomic.get armed) then None
@@ -282,20 +337,10 @@ let stop () =
 
 let ns_to_s ns = Int64.to_float ns /. 1e9
 
-(* (kind, shard) -> (total_ns, count, max_ns), sorted for stable output. *)
-let aggregate_spans spans =
-  let tbl = Hashtbl.create 16 in
-  List.iter
-    (fun s ->
-      let d = Int64.sub s.t1_ns s.t0_ns in
-      let key = (kind_index s.kind, s.shard) in
-      match Hashtbl.find_opt tbl key with
-      | Some (total, n, mx) ->
-        Hashtbl.replace tbl key (Int64.add total d, n + 1, Int64.max mx d)
-      | None -> Hashtbl.add tbl key (d, 1, d))
-    spans;
-  Hashtbl.fold (fun (ki, shard) (total, n, mx) acc -> (ki, shard, total, n, mx) :: acc) tbl []
-  |> List.sort compare
+let total_label d t =
+  if t.t_shard >= 0 then
+    Printf.sprintf "domain%d/shard%d/%s" d.dom t.t_shard (span_name t.t_kind)
+  else Printf.sprintf "domain%d/%s" d.dom (span_name t.t_kind)
 
 (* Phase self-time: a phase span minus every leaf span on the same
    domain whose start lies inside it.  Leaves never overlap each other
@@ -340,17 +385,16 @@ let to_json r =
       Buffer.add_string b ",\"spans\":[";
       let first = ref true in
       List.iter
-        (fun (ki, shard, total, n, mx) ->
+        (fun t ->
           buf_sep b first;
           Buffer.add_string b
             (Printf.sprintf "{\"span\":\"%s\",\"shard\":%d,\"total_s\":"
-               (span_name (kind_of_index ki))
-               shard);
-          buf_float b (ns_to_s total);
-          Buffer.add_string b (Printf.sprintf ",\"count\":%d,\"max_s\":" n);
-          buf_float b (ns_to_s mx);
+               (span_name t.t_kind) t.t_shard);
+          buf_float b (ns_to_s t.total_ns);
+          Buffer.add_string b (Printf.sprintf ",\"count\":%d,\"max_s\":" t.count);
+          buf_float b (ns_to_s t.max_ns);
           Buffer.add_string b "}")
-        (aggregate_spans d.spans);
+        d.totals;
       Buffer.add_string b "],\"accums\":[";
       let first = ref true in
       List.iter
@@ -392,17 +436,17 @@ let to_flamegraph r =
     (fun d ->
       (* Leaf spans, aggregated by (kind, shard). *)
       List.iter
-        (fun (ki, shard, total, _n, _mx) ->
-          let kind = kind_of_index ki in
-          if not (phase_kind kind) then
-            if shard >= 0 then
+        (fun t ->
+          if not (phase_kind t.t_kind) then
+            if t.t_shard >= 0 then
               Buffer.add_string b
-                (Printf.sprintf "domain%d;shard%d;%s %d\n" d.dom shard
-                   (span_name kind) (us total))
+                (Printf.sprintf "domain%d;shard%d;%s %d\n" d.dom t.t_shard
+                   (span_name t.t_kind) (us t.total_ns))
             else
               Buffer.add_string b
-                (Printf.sprintf "domain%d;%s %d\n" d.dom (span_name kind) (us total)))
-        (aggregate_spans d.spans);
+                (Printf.sprintf "domain%d;%s %d\n" d.dom (span_name t.t_kind)
+                   (us t.total_ns)))
+        d.totals;
       (* Accumulators are leaves, except Pool_job: a pool job *contains*
          the runner phases executed on that domain (a trial runs inside
          its pool job), so render its self-time — the accumulated total
@@ -447,18 +491,7 @@ let to_flamegraph r =
 let summarize r =
   List.concat_map
     (fun d ->
-      let spans =
-        List.map
-          (fun (ki, shard, total, n, _mx) ->
-            let label =
-              if shard >= 0 then
-                Printf.sprintf "domain%d/shard%d/%s" d.dom shard
-                  (span_name (kind_of_index ki))
-              else Printf.sprintf "domain%d/%s" d.dom (span_name (kind_of_index ki))
-            in
-            (label, ns_to_s total, n))
-          (aggregate_spans d.spans)
-      in
+      let spans = List.map (fun t -> (total_label d t, ns_to_s t.total_ns, t.count)) d.totals in
       let accums =
         List.map
           (fun a ->

@@ -13,8 +13,11 @@
 
     Two recording flavours:
     - {!record}: one ring entry per call — for coarse spans (a window's
-      compute slice, a runner phase).  The ring wraps; overwritten
-      entries are counted as dropped.
+      compute slice, a runner phase).  Each call also adds to exact
+      per-[(kind, shard)] totals, count and maximum, which every report
+      aggregate reads.  The ring only feeds timelines and flamegraph
+      phase self-time: it wraps, and overwritten entries are counted as
+      dropped.
     - {!accum}: a per-domain running [(total_ns, count)] per span kind —
       for hot, tiny spans (a single mailbox post, one pool job) where a
       ring entry each would be noise.
@@ -64,6 +67,10 @@ val on : unit -> bool
 val now_ns : unit -> int64
 (** CLOCK_MONOTONIC in nanoseconds (reads the clock even when off). *)
 
+val ring_capacity : int
+(** Spans each domain's ring keeps for timelines and flamegraphs (65,536);
+    older ones are overwritten and counted as [dropped]. *)
+
 val record : span_kind -> ?shard:int -> int64 -> unit
 (** [record kind ~shard t0] appends a [(kind, shard, t0, now)] span to
     the calling domain's ring.  [shard] defaults to [-1] (no shard).
@@ -83,6 +90,16 @@ val counter_max : string -> int -> unit
 
 type span = { kind : span_kind; shard : int; t0_ns : int64; t1_ns : int64 }
 
+type span_total = {
+  t_kind : span_kind;
+  t_shard : int;
+  total_ns : int64;
+  count : int;
+  max_ns : int64;
+}
+(** Every span of one [(kind, shard)] recorded in the session, kept
+    online: exact however many the ring dropped. *)
+
 type accum_entry = { a_kind : span_kind; a_ns : int64; a_count : int }
 
 type gc_delta = {
@@ -96,8 +113,9 @@ type gc_delta = {
 
 type domain_report = {
   dom : int;          (** [Domain.self] id *)
-  spans : span list;  (** oldest first *)
+  spans : span list;  (** the ring's spans, oldest first *)
   dropped : int;      (** ring overwrites *)
+  totals : span_total list;  (** sorted by (kind, shard) *)
   accums : accum_entry list;
   gc : gc_delta;
 }

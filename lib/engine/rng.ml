@@ -25,7 +25,7 @@ let int64 t = next t
 let split t = of_state (mix (next t))
 let copy = Bytes.copy
 
-let float t =
+let[@inline] float t =
   (* Top 53 bits give a uniform dyadic rational in [0, 1). *)
   Int64.to_float (Int64.shift_right_logical (next t) 11) *. 0x1p-53
 

@@ -1,6 +1,9 @@
 (* Array-slab event queue.
 
-   Callbacks live in a growable slot array with a free-list; the binary
+   Callbacks live in a growable slot array with a free-list; a slot holds
+   either a [unit -> unit] closure or a typed event, an [int -> unit]
+   handler plus its [int] argument, so a hot caller that preallocates
+   its handler schedules without allocating.  The binary
    heap is three parallel arrays (unboxed float times, scheduling seqs,
    slot indices), so a heap comparison touches no heap-allocated entry
    record and executing an event costs no hash-table lookup.  Event ids
@@ -16,14 +19,20 @@ let max_slots = 1 lsl slot_bits
 
 type event_id = int
 
+let no_event = -1
+
 type t = {
   (* Heap over (time, seq), min at 0; h_slot names the slab slot. *)
   mutable h_time : float array;
   mutable h_seq : int array;
   mutable h_slot : int array;
   mutable h_size : int;
-  (* Slab: callback + owning seq per slot (-1 = free), free-list stack. *)
+  (* Slab: closure or handler + argument, and owning seq per slot
+     (-1 = free), free-list stack.  A slot whose handler is [no_handler]
+     runs its closure. *)
   mutable cbs : (unit -> unit) array;
+  mutable handlers : (int -> unit) array;
+  mutable args : int array;
   mutable seq_of_slot : int array;
   mutable free : int array;
   mutable free_top : int;
@@ -32,10 +41,10 @@ type t = {
   mutable clock : float;
   mutable next_seq : int;
   mutable executed : int;
-  mutable last_event_time : float;
 }
 
 let noop () = ()
+let no_handler (_ : int) = ()
 let initial_cap = 256
 
 let create () =
@@ -45,6 +54,8 @@ let create () =
     h_slot = Array.make initial_cap 0;
     h_size = 0;
     cbs = Array.make initial_cap noop;
+    handlers = Array.make initial_cap no_handler;
+    args = Array.make initial_cap 0;
     seq_of_slot = Array.make initial_cap (-1);
     free = Array.init initial_cap (fun i -> initial_cap - 1 - i);
     free_top = initial_cap;
@@ -53,7 +64,6 @@ let create () =
     clock = 0.0;
     next_seq = 0;
     executed = 0;
-    last_event_time = 0.0;
   }
 
 let now t = t.clock
@@ -75,7 +85,8 @@ let heap_ensure_room t =
     t.h_slot <- hl
   end
 
-let heap_push t time seq slot =
+(* Inlined into its two callers so the event time stays unboxed. *)
+let[@inline] heap_push t time seq slot =
   heap_ensure_room t;
   (* Sift the hole up, then fill it: one write per level. *)
   let i = ref t.h_size in
@@ -139,10 +150,16 @@ let slab_grow t =
     invalid_arg "Scheduler: more than 2^24 simultaneously pending events";
   let cap' = min max_slots (2 * cap) in
   let cbs = Array.make cap' noop in
+  let handlers = Array.make cap' no_handler in
+  let args = Array.make cap' 0 in
   let sos = Array.make cap' (-1) in
   Array.blit t.cbs 0 cbs 0 cap;
+  Array.blit t.handlers 0 handlers 0 cap;
+  Array.blit t.args 0 args 0 cap;
   Array.blit t.seq_of_slot 0 sos 0 cap;
   t.cbs <- cbs;
+  t.handlers <- handlers;
+  t.args <- args;
   t.seq_of_slot <- sos;
   let free = Array.make cap' 0 in
   Array.blit t.free 0 free 0 t.free_top;
@@ -160,34 +177,54 @@ let alloc_slot t =
 
 let release_slot t slot =
   t.cbs.(slot) <- noop;
+  t.handlers.(slot) <- no_handler;
   t.seq_of_slot.(slot) <- -1;
   t.free.(t.free_top) <- slot;
   t.free_top <- t.free_top + 1
 
 (* --- Public API --------------------------------------------------------- *)
 
-let schedule_at t ~time f =
+(* Claim a slot for an event at [time]; the caller fills its callback. *)
+let[@inline] enter t ~time =
   if time < t.clock then
     invalid_arg
       (Printf.sprintf "Scheduler.schedule_at: time %g is in the past (now %g)" time t.clock);
   let slot = alloc_slot t in
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
-  t.cbs.(slot) <- f;
   t.seq_of_slot.(slot) <- seq;
   t.live <- t.live + 1;
   if t.live > t.max_live then t.max_live <- t.live;
   heap_push t time seq slot;
-  (seq lsl slot_bits) lor slot
+  slot
+
+let id_of t slot = (t.seq_of_slot.(slot) lsl slot_bits) lor slot
+
+let[@inline] schedule_at t ~time f =
+  let slot = enter t ~time in
+  t.cbs.(slot) <- f;
+  id_of t slot
+
+let[@inline] schedule_arg_at t ~time h arg =
+  let slot = enter t ~time in
+  t.handlers.(slot) <- h;
+  t.args.(slot) <- arg;
+  id_of t slot
+
+let check_delay delay = if delay < 0.0 then invalid_arg "Scheduler.schedule: negative delay"
 
 let schedule t ~delay f =
-  if delay < 0.0 then invalid_arg "Scheduler.schedule: negative delay";
+  check_delay delay;
   schedule_at t ~time:(t.clock +. delay) f
+
+let schedule_arg t ~delay h arg =
+  check_delay delay;
+  schedule_arg_at t ~time:(t.clock +. delay) h arg
 
 let cancel t id =
   let slot = id land slot_mask in
   let seq = id lsr slot_bits in
-  if slot < Array.length t.seq_of_slot && t.seq_of_slot.(slot) = seq then begin
+  if id >= 0 && slot < Array.length t.seq_of_slot && t.seq_of_slot.(slot) = seq then begin
     release_slot t slot;
     t.live <- t.live - 1
   end
@@ -212,7 +249,7 @@ let exec_root t =
   let time = t.h_time.(0) in
   let slot = t.h_slot.(0) in
   heap_remove_root t;
-  let f = t.cbs.(slot) in
+  let f = t.cbs.(slot) and h = t.handlers.(slot) and arg = t.args.(slot) in
   (* Release before invoking: callbacks observe the event as no longer
      pending (the telemetry probe chain relies on this to let the queue
      drain). *)
@@ -220,8 +257,7 @@ let exec_root t =
   t.live <- t.live - 1;
   t.clock <- time;
   t.executed <- t.executed + 1;
-  t.last_event_time <- time;
-  f ()
+  if h == no_handler then f () else h arg
 
 let step t =
   if skim t then begin
@@ -248,7 +284,7 @@ let run ?until t =
       if skim t && t.h_time.(0) <= limit then exec_root t else continue := false
     done
 
-let time_of_last_event t = t.last_event_time
+let time_of_last_event t = t.clock
 let events_executed t = t.executed
 let max_live t = t.max_live
 let slab_capacity t = Array.length t.cbs

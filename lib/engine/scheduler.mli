@@ -4,6 +4,16 @@
     by scheduling order, so a run is fully deterministic.  This plays the
     role SSFNet's kernel played for the paper.
 
+    An event is one of two kinds.  A closure event ({!schedule}) runs a
+    [unit -> unit] closure: the cold paths (faults, probes, damping
+    reuse) use it.  A typed event ({!schedule_arg}) runs an
+    [int -> unit] handler on an [int] argument stored in the slab: a hot
+    caller preallocates its handler once and names the work by the
+    argument (a slab slot, a peer index), so scheduling it allocates
+    nothing.  Both kinds share the one heap, the one [(time, seq)] order
+    and the one generation-tagged id space, so mixing them never changes
+    which event runs first, and {!cancel} treats them alike.
+
     Internally the queue is an array-slab: callbacks sit in a growable
     slot array with a free-list, the heap is parallel arrays with the
     time key inline (no per-event record, no hash-table lookup per
@@ -12,8 +22,13 @@
 
 type t
 
-type event_id
-(** Handle for cancellation.  Each [schedule] returns a fresh id. *)
+type event_id = private int
+(** Handle for cancellation.  Each [schedule] returns a fresh id, and
+    every id is [>= 0]. *)
+
+val no_event : event_id
+(** [-1]: a sentinel for "no event" that {!cancel} ignores, so a caller
+    can keep an [event_id] field instead of an option. *)
 
 val create : unit -> t
 
@@ -26,6 +41,15 @@ val schedule : t -> delay:float -> (unit -> unit) -> event_id
 
 val schedule_at : t -> time:float -> (unit -> unit) -> event_id
 (** Absolute-time variant.  Requires [time >= now t]. *)
+
+val schedule_arg : t -> delay:float -> (int -> unit) -> int -> event_id
+(** [schedule_arg t ~delay h arg] runs [h arg] at [now t +. delay]: a
+    typed event.  It takes the next scheduling sequence number exactly as
+    {!schedule} would, so replacing a closure by a typed event leaves the
+    execution order unchanged.  Allocates nothing. *)
+
+val schedule_arg_at : t -> time:float -> (int -> unit) -> int -> event_id
+(** Absolute-time variant of {!schedule_arg}.  Requires [time >= now t]. *)
 
 val cancel : t -> event_id -> unit
 (** Cancelling an already-fired or already-cancelled event is a no-op. *)
@@ -61,5 +85,5 @@ val max_live : t -> int
     profiler and telemetry read it at finalize. *)
 
 val slab_capacity : t -> int
-(** Current size of the callback slab (grows by doubling, never
+(** Current size of the event slab (grows by doubling, never
     shrinks) — with {!max_live} this bounds the queue's memory. *)

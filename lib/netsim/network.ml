@@ -47,6 +47,73 @@ type fault_state = {
   mutable n_lost : int;  (* messages dropped in flight (severed/gray/dead dst) *)
 }
 
+(* --- In-flight messages ---------------------------------------------------- *)
+
+(* Update messages between send and delivery: a slab of parallel arrays
+   with a free stack.  A delivery is a typed scheduler event whose
+   argument is the slot, run by the network's one preallocated handler,
+   so a message in flight costs no record and no closure.  A vacated
+   slot's path is cleared, so the slab never keeps a delivered or dropped
+   path alive.  The path is the advertised one, or [Router.withdrawal]. *)
+type flights = {
+  mutable f_src : int array;
+  mutable f_dst : int array;
+  mutable f_dest : int array;
+  mutable f_path : Types.path array;
+  mutable f_seq : int array;  (* per-source send sequence (sharded loss draws) *)
+  mutable f_sent : int array;  (* Update_sent trace id, or [Trace.no_cause] *)
+  mutable f_free : int array;  (* free slots, a stack *)
+  mutable f_top : int;
+}
+
+let flights_create () =
+  {
+    f_src = [||];
+    f_dst = [||];
+    f_dest = [||];
+    f_path = [||];
+    f_seq = [||];
+    f_sent = [||];
+    f_free = [||];
+    f_top = 0;
+  }
+
+let flights_grow fl =
+  let cap = Array.length fl.f_src in
+  let cap' = max 64 (2 * cap) in
+  let extend a fill =
+    let b = Array.make cap' fill in
+    Array.blit a 0 b 0 cap;
+    b
+  in
+  fl.f_src <- extend fl.f_src 0;
+  fl.f_dst <- extend fl.f_dst 0;
+  fl.f_dest <- extend fl.f_dest 0;
+  fl.f_path <- extend fl.f_path Bgp_proto.Path.empty;
+  fl.f_seq <- extend fl.f_seq 0;
+  fl.f_sent <- extend fl.f_sent 0;
+  (* Every slot was in use (the stack was empty): push the new ones so
+     the lowest index pops first. *)
+  fl.f_free <- Array.init cap' (fun i -> cap' - 1 - i);
+  fl.f_top <- cap' - cap
+
+let flight_add fl ~src ~dst ~dest ~path ~seq ~sent =
+  if fl.f_top = 0 then flights_grow fl;
+  fl.f_top <- fl.f_top - 1;
+  let i = fl.f_free.(fl.f_top) in
+  fl.f_src.(i) <- src;
+  fl.f_dst.(i) <- dst;
+  fl.f_dest.(i) <- dest;
+  fl.f_path.(i) <- path;
+  fl.f_seq.(i) <- seq;
+  fl.f_sent.(i) <- sent;
+  i
+
+let flight_release fl i =
+  fl.f_path.(i) <- Bgp_proto.Path.empty;
+  fl.f_free.(fl.f_top) <- i;
+  fl.f_top <- fl.f_top + 1
+
 (* --- Sharded execution state --------------------------------------------- *)
 
 module Shard_exec = Bgp_engine.Shard_exec
@@ -61,7 +128,8 @@ type msg = {
   m_src : int;
   m_dst : int;
   m_seq : int;
-  m_update : Types.update;
+  m_dest : int;
+  m_path : Types.path;  (* or [Router.withdrawal] *)
   m_sent_id : int;  (* Update_sent trace id, or [Trace.no_cause] *)
 }
 
@@ -90,6 +158,7 @@ type shard_ctx = {
   mutable s_last_activity : float;
   mutable s_lost : int;
   mutable s_rep_events : int;  (* replicated fault events executed here *)
+  s_flights : flights;  (* mailbox messages awaiting their delivery event *)
   s_severed : (int * int, int) Hashtbl.t;
   s_factor : (int * int, float) Hashtbl.t;
   s_loss : (int * int, float) Hashtbl.t;
@@ -117,6 +186,7 @@ type t = {
   sched : Sched.t;
   paths : Bgp_proto.Path.table;  (* per-run AS-path interning table *)
   routers : Router.t array;
+  send : src:int -> dst:int -> Types.dest -> Types.path -> unit;  (* the routers' [send] *)
   detect_rng : Rng.t;  (* hold-timer detection sampling *)
   failed : bool array;
   sessions : (int * int * Types.session_kind) list;
@@ -201,6 +271,7 @@ let build ~sched ~rng ~config ?telemetry topo =
       sched;
       paths;
       routers = [||];
+      send = (fun ~src:_ ~dst:_ _ _ -> ());
       detect_rng = Rng.split rng;
       failed = Array.make n false;
       sessions;
@@ -267,70 +338,78 @@ let build ~sched ~rng ~config ?telemetry topo =
         })
       config.trace
   in
+  (* Every send fills a flight slot and schedules [deliver] on it: one
+     typed event per message, taking the scheduler sequence number the
+     message's delivery has always taken, with tracing on or off. *)
+  let flights = flights_create () in
+  let deliver slot =
+    let nref = !net in
+    let src = flights.f_src.(slot) and dst = flights.f_dst.(slot) in
+    let dest = flights.f_dest.(slot) and path = flights.f_path.(slot) in
+    let sent_id = flights.f_sent.(slot) in
+    flight_release flights slot;
+    if deliverable nref ~src ~dst then
+      match config.trace with
+      | None -> Router.receive_route nref.routers.(dst) ~src dest path
+      | Some trace ->
+        let deliver_id = Trace.fresh_id trace in
+        Trace.record trace
+          (Trace.Update_delivered
+             {
+               id = deliver_id;
+               time = Sched.now sched;
+               src;
+               dst;
+               update = Router.to_update dest path;
+               cause = sent_id;
+             });
+        Router.receive_route nref.routers.(dst) ~cause:deliver_id ~src dest path
+  in
+  let send ~src ~dst dest path =
+    let nref = !net in
+    if path == Router.withdrawal then nref.n_withdrawals <- nref.n_withdrawals + 1
+    else nref.n_adverts <- nref.n_adverts + 1;
+    let delay = delivery_delay nref ~src ~dst in
+    let sent =
+      match config.trace with
+      | None -> Trace.no_cause
+      | Some trace ->
+        let sent_id = Trace.fresh_id trace in
+        Trace.record trace
+          (Trace.Update_sent
+             {
+               id = sent_id;
+               time = Sched.now sched;
+               src;
+               dst;
+               update = Router.to_update dest path;
+               cause = Router.current_cause nref.routers.(src);
+             });
+        sent_id
+    in
+    let slot = flight_add flights ~src ~dst ~dest ~path ~seq:0 ~sent in
+    ignore (Sched.schedule_arg sched ~delay deliver slot)
+  in
+  let cb =
+    {
+      Router.send;
+      activity =
+        (fun ~time ->
+          let nref = !net in
+          if time > nref.last_activity then nref.last_activity <- time);
+    }
+  in
   (* Build routers with their own RNG streams (stable under changes to
      other routers' draw counts). *)
   let routers =
     Array.init n (fun i ->
         let router_rng = Rng.split rng in
-        let cb =
-          {
-            Router.send =
-              (fun ~src ~dst update ->
-                let nref = !net in
-                (match update with
-                | Types.Advertise _ -> nref.n_adverts <- nref.n_adverts + 1
-                | Types.Withdraw _ -> nref.n_withdrawals <- nref.n_withdrawals + 1);
-                let delay = delivery_delay nref ~src ~dst in
-                match nref.config.trace with
-                | None ->
-                  ignore
-                    (Sched.schedule sched ~delay (fun () ->
-                         if deliverable nref ~src ~dst then
-                           Router.receive nref.routers.(dst) ~src update))
-                | Some trace ->
-                  (* Both branches schedule exactly one delivery event, so
-                     the scheduler (and hence the run) is bit-identical
-                     with tracing on or off. *)
-                  let sent_id = Trace.fresh_id trace in
-                  Trace.record trace
-                    (Trace.Update_sent
-                       {
-                         id = sent_id;
-                         time = Sched.now sched;
-                         src;
-                         dst;
-                         update;
-                         cause = Router.current_cause nref.routers.(src);
-                       });
-                  ignore
-                    (Sched.schedule sched ~delay (fun () ->
-                         if deliverable nref ~src ~dst then begin
-                           let deliver_id = Trace.fresh_id trace in
-                           Trace.record trace
-                             (Trace.Update_delivered
-                                {
-                                  id = deliver_id;
-                                  time = Sched.now sched;
-                                  src;
-                                  dst;
-                                  update;
-                                  cause = sent_id;
-                                });
-                           Router.receive nref.routers.(dst) ~cause:deliver_id ~src
-                             update
-                         end)));
-            activity =
-              (fun ~time ->
-                let nref = !net in
-                if time > nref.last_activity then nref.last_activity <- time);
-          }
-        in
         Router.create ~sched ~rng:router_rng ~paths ~config:config.bgp ~id:i
           ~asn:topo.Topology.as_of_router.(i)
           ~degree:(Topology.inter_as_degree topo i)
           ?tracer cb)
   in
-  net := { !net with routers };
+  net := { !net with routers; send };
   List.iter
     (fun (u, v, kind) ->
       let rel_of a b =
@@ -391,6 +470,7 @@ let num_routers t = Array.length t.routers
 let sessions t = t.sessions
 
 let start_all t = Array.iter Router.start t.routers
+let send_update t ~src ~dst dest path = t.send ~src ~dst dest path
 
 (* How long a surviving session peer takes to notice a drop: via the link
    layer after a fixed delay, or when the BGP hold timer expires (sampled
@@ -866,6 +946,7 @@ let build_sharded ~shards ~owner ~lookahead ~rng ~config ?telemetry topo =
           s_last_activity = 0.0;
           s_lost = 0;
           s_rep_events = 0;
+          s_flights = flights_create ();
           s_severed = Hashtbl.create 16;
           s_factor = Hashtbl.create 16;
           s_loss = Hashtbl.create 16;
@@ -892,6 +973,7 @@ let build_sharded ~shards ~owner ~lookahead ~rng ~config ?telemetry topo =
       sched = ctxs.(0).ssched;
       paths = ctxs.(0).spaths;
       routers = [||];
+      send = (fun ~src:_ ~dst:_ _ _ -> ());
       (* Same split order as [build]: detection stream first, then one
          stream per router in index order — so a router's RNG stream does
          not depend on the shard layout. *)
@@ -944,11 +1026,10 @@ let build_sharded ~shards ~owner ~lookahead ~rng ~config ?telemetry topo =
   (* Every send — intra- or cross-shard — goes through the mailboxes, so
      delivery order is decided once, at the barrier, by the layout-free
      (arrival, src router, send seq) key. *)
-  let send ~src ~dst update =
+  let send ~src ~dst dest path =
     let ctx = ctxs.(sh.owner.(src)) in
-    (match update with
-    | Types.Advertise _ -> ctx.s_adverts <- ctx.s_adverts + 1
-    | Types.Withdraw _ -> ctx.s_withdrawals <- ctx.s_withdrawals + 1);
+    if path == Router.withdrawal then ctx.s_withdrawals <- ctx.s_withdrawals + 1
+    else ctx.s_adverts <- ctx.s_adverts + 1;
     let factor =
       match Hashtbl.find_opt ctx.s_factor (link_key src dst) with
       | Some x -> x
@@ -969,7 +1050,7 @@ let build_sharded ~shards ~owner ~lookahead ~rng ~config ?telemetry topo =
                time = Sched.now ctx.ssched;
                src;
                dst;
-               update;
+               update = Router.to_update dest path;
                cause = Router.current_cause !net.routers.(src);
              });
         id
@@ -980,45 +1061,52 @@ let build_sharded ~shards ~owner ~lookahead ~rng ~config ?telemetry topo =
         m_src = src;
         m_dst = dst;
         m_seq = seq;
-        m_update = update;
+        m_dest = dest;
+        m_path = path;
         m_sent_id = sent_id;
       }
   in
+  (* Each shard delivers through its own flight slab and one
+     preallocated handler, like the sequential network. *)
+  let deliver_on ctx slot =
+    let fl = ctx.s_flights in
+    let src = fl.f_src.(slot) and dst = fl.f_dst.(slot) and seq = fl.f_seq.(slot) in
+    let dest = fl.f_dest.(slot) and path = fl.f_path.(slot) and sent_id = fl.f_sent.(slot) in
+    flight_release fl slot;
+    if deliverable_sharded !net sh ctx ~src ~dst ~seq then
+      match ctx.strace with
+      | None -> Router.receive_route !net.routers.(dst) ~src dest path
+      | Some trace ->
+        let id = fresh_sid sh dst in
+        Trace.record trace
+          (Trace.Update_delivered
+             {
+               id;
+               time = Sched.now ctx.ssched;
+               src;
+               dst;
+               update = Router.to_update dest path;
+               cause = sent_id;
+             });
+        Router.receive_route !net.routers.(dst) ~cause:id ~src dest path
+  in
+  let handlers = Array.map deliver_on ctxs in
   let deliver d batch =
-    let ctx = ctxs.(d) in
+    let ctx = ctxs.(d) and handler = handlers.(d) in
     Array.iter
       (fun m ->
         (* Cross-shard advertisements are re-interned into the receiving
            shard's table; path identity never reaches route selection
            (RIB ranking is structural), so rehoming is invisible. *)
-        let update =
-          if sh.owner.(m.m_src) = d then m.m_update
-          else
-            match m.m_update with
-            | Types.Withdraw _ as u -> u
-            | Types.Advertise { dest; path } ->
-              Types.Advertise { dest; path = Bgp_proto.Path.intern ctx.spaths path }
+        let path =
+          if sh.owner.(m.m_src) = d || m.m_path == Router.withdrawal then m.m_path
+          else Bgp_proto.Path.intern ctx.spaths m.m_path
         in
-        ignore
-          (Sched.schedule_at ctx.ssched ~time:m.m_arrival (fun () ->
-               if deliverable_sharded !net sh ctx ~src:m.m_src ~dst:m.m_dst ~seq:m.m_seq
-               then begin
-                 match ctx.strace with
-                 | None -> Router.receive !net.routers.(m.m_dst) ~src:m.m_src update
-                 | Some trace ->
-                   let id = fresh_sid sh m.m_dst in
-                   Trace.record trace
-                     (Trace.Update_delivered
-                        {
-                          id;
-                          time = Sched.now ctx.ssched;
-                          src = m.m_src;
-                          dst = m.m_dst;
-                          update;
-                          cause = m.m_sent_id;
-                        });
-                   Router.receive !net.routers.(m.m_dst) ~cause:id ~src:m.m_src update
-               end)))
+        let slot =
+          flight_add ctx.s_flights ~src:m.m_src ~dst:m.m_dst ~dest:m.m_dest ~path
+            ~seq:m.m_seq ~sent:m.m_sent_id
+        in
+        ignore (Sched.schedule_arg_at ctx.ssched ~time:m.m_arrival handler slot))
       batch
   in
   sh.deliver <- deliver;
@@ -1042,7 +1130,7 @@ let build_sharded ~shards ~owner ~lookahead ~rng ~config ?telemetry topo =
           ?tracer:tracers.(sh.owner.(i))
           cb)
   in
-  net := { !net with routers };
+  net := { !net with routers; send };
   List.iter
     (fun (u, v, kind) ->
       let rel_of a b =

@@ -73,6 +73,13 @@ val sessions_of_topology :
 val start_all : t -> unit
 (** Originate every router's prefix at the current simulated time. *)
 
+val send_update : t -> src:int -> dst:int -> Bgp_proto.Types.dest -> Bgp_proto.Types.path -> unit
+(** Send one update message from router [src] to router [dst] exactly as
+    [src]'s own exports go out ({!Bgp_proto.Router.callbacks}): counted,
+    traced, delayed, and delivered to [dst]'s input queue.  [path] is the
+    advertised path or {!Bgp_proto.Router.withdrawal}.  Router state on
+    the sending side is not touched (no Adj-RIB-Out update). *)
+
 val inject_failure : t -> Bgp_topology.Failure.t -> unit
 (** Immediately kill the failed routers and schedule session-down
     notifications to their surviving session peers after

@@ -401,6 +401,93 @@ let prop_scheduler_model =
         ops;
       !ok)
 
+(* Closure events and typed events share one heap, one (time, seq)
+   order and one id space.  Random mixes of both kinds (relative and
+   absolute time), cancels of live and stale ids, single steps, bounded
+   runs and bursts that grow the slab past its initial 256 slots, checked
+   against a reference sorted by (time, seq). *)
+let prop_scheduler_mixed_kinds =
+  QCheck.Test.make ~name:"closure and typed events interleave in (time, seq) order"
+    ~count:200
+    QCheck.(list (pair (int_bound 8) (pair small_nat (float_bound_inclusive 10.0))))
+    (fun ops ->
+      let s = Sched.create () in
+      let fired = ref [] in
+      let record seq = fired := seq :: !fired in
+      (* reference: (time, seq, id) of every live event *)
+      let model = ref [] in
+      let issued = ref [] in
+      let next_seq = ref 0 in
+      let ok = ref true in
+      let push ~typed ~absolute d =
+        let seq = !next_seq in
+        incr next_seq;
+        let time = Sched.now s +. d in
+        let id =
+          match (typed, absolute) with
+          | false, false -> Sched.schedule s ~delay:d (fun () -> record seq)
+          | false, true -> Sched.schedule_at s ~time (fun () -> record seq)
+          | true, false -> Sched.schedule_arg s ~delay:d record seq
+          | true, true -> Sched.schedule_arg_at s ~time record seq
+        in
+        model := (time, seq, id) :: !model;
+        issued := id :: !issued
+      in
+      let sorted () =
+        List.sort (fun (ta, sa, _) (tb, sb, _) -> compare (ta, sa) (tb, sb)) !model
+      in
+      let remove evs =
+        model :=
+          List.filter (fun (_, _, i) -> not (List.exists (fun (_, _, j) -> i = j) evs)) !model
+      in
+      let seqs evs = List.map (fun (_, seq, _) -> seq) evs in
+      List.iter
+        (fun (op, (k, d)) ->
+          if !ok then begin
+            (match op with
+            | 0 -> push ~typed:false ~absolute:false d
+            | 1 -> push ~typed:true ~absolute:false d
+            | 2 -> push ~typed:false ~absolute:true d
+            | 3 -> push ~typed:true ~absolute:true d
+            | 4 ->
+              if !issued <> [] then begin
+                let id = List.nth !issued (k mod List.length !issued) in
+                Sched.cancel s id;
+                model := List.filter (fun (_, _, i) -> i <> id) !model
+              end
+            | 5 -> (
+              fired := [];
+              match sorted () with
+              | [] -> if Sched.step s then ok := false
+              | ((t, seq, _) as e) :: _ ->
+                if not (Sched.step s) then ok := false
+                else begin
+                  if !fired <> [ seq ] || Sched.now s <> t then ok := false;
+                  remove [ e ]
+                end)
+            | 6 ->
+              let until = Sched.now s +. d in
+              let due = List.filter (fun (t, _, _) -> t <= until) (sorted ()) in
+              fired := [];
+              Sched.run ~until s;
+              if List.rev !fired <> seqs due then ok := false;
+              remove due
+            | _ ->
+              (* One burst per case grows the slab past its first 256 slots. *)
+              if Sched.slab_capacity s <= 256 then
+                for i = 1 to 260 do
+                  push ~typed:(i mod 2 = 0) ~absolute:(i mod 3 = 0)
+                    (d *. float_of_int ((i + k) mod 7) /. 7.0)
+                done);
+            if Sched.pending s <> List.length !model then ok := false
+          end)
+        ops;
+      (* Drain what is left: the whole reference, in order. *)
+      let rest = sorted () in
+      fired := [];
+      Sched.run s;
+      !ok && List.rev !fired = seqs rest)
+
 let prop_scheduler_executes_in_time_order =
   QCheck.Test.make ~name:"scheduler executes in nondecreasing time order" ~count:100
     QCheck.(list (float_bound_inclusive 100.0))
@@ -495,6 +582,7 @@ let () =
           Alcotest.test_case "past rejected" `Quick test_scheduler_past_rejected;
           Alcotest.test_case "zero delay" `Quick test_scheduler_zero_delay;
           qc prop_scheduler_model;
+          qc prop_scheduler_mixed_kinds;
           qc prop_scheduler_executes_in_time_order;
         ] );
       ( "stats",

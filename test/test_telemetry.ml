@@ -423,6 +423,45 @@ let test_bench_report_roundtrip () =
 
 (* --- Profiler report (bgp-prof/1) ------------------------------------------- *)
 
+(* Span totals, counts and maxima are exact however many spans the ring
+   overwrote: a long run's report must not read as its last 65,536 spans. *)
+let test_prof_totals_survive_ring_overflow () =
+  let n = Profile.ring_capacity + 1000 in
+  Profile.start ();
+  (* The first span lasts 5 s and is the first one the ring overwrites;
+     each span lasts at least 1 ms. *)
+  Profile.record Profile.Compute ~shard:0 (Int64.sub (Profile.now_ns ()) 5_000_000_000L);
+  for _ = 2 to n do
+    Profile.record Profile.Compute ~shard:0 (Int64.sub (Profile.now_ns ()) 1_000_000L)
+  done;
+  match Profile.stop () with
+  | None -> Alcotest.fail "armed profiler returned no report"
+  | Some r ->
+    let d =
+      match r.Profile.domains with [ d ] -> d | _ -> Alcotest.fail "expected one domain"
+    in
+    checki "the ring dropped the overflow" (n - Profile.ring_capacity) d.Profile.dropped;
+    let label = Printf.sprintf "domain%d/shard0/compute" d.Profile.dom in
+    (match List.find_opt (fun (l, _, _) -> l = label) (Profile.summarize r) with
+    | Some (_, seconds, count) ->
+      checki "count of every span" n count;
+      checkb "total of every span" true (seconds >= 5.0 +. (float_of_int (n - 1) *. 1e-3))
+    | None -> Alcotest.fail "no compute row");
+    let json = Bench_report.of_string (Profile.to_json r) in
+    let span =
+      match
+        Option.bind (Bench_report.member "domains" json) Bench_report.to_list
+        |> Fun.flip Option.bind (function [ d ] -> Bench_report.member "spans" d | _ -> None)
+        |> Fun.flip Option.bind Bench_report.to_list
+      with
+      | Some [ s ] -> s
+      | _ -> Alcotest.fail "expected one span aggregate"
+    in
+    let num k = Option.bind (Bench_report.member k span) Bench_report.to_float in
+    checkb "json count" true (num "count" = Some (float_of_int n));
+    checkb "json max is the overwritten 5 s span" true
+      (match num "max_s" with Some m -> m >= 5.0 | None -> false)
+
 let test_prof_json_roundtrip () =
   Profile.start ();
   let t0 = Profile.now_ns () in
@@ -555,6 +594,8 @@ let () =
         ] );
       ( "profile",
         [
+          Alcotest.test_case "totals survive ring overflow" `Quick
+            test_prof_totals_survive_ring_overflow;
           Alcotest.test_case "bgp-prof/1 round-trip" `Quick test_prof_json_roundtrip;
         ] );
       ( "pool",
