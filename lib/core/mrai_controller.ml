@@ -1,9 +1,9 @@
 type load = {
-  now : float;
-  queue_length : int;
-  mean_processing_delay : float;
-  utilization : float;
-  updates_in_window : int;
+  mutable now : float;
+  mutable queue_length : int;
+  mutable mean_processing_delay : float;
+  mutable utilization : float;
+  mutable updates_in_window : int;
 }
 
 type detector = Queue_work | Utilization | Message_count
@@ -44,7 +44,7 @@ let make scheme ~degree =
       invalid_arg "Mrai_controller.make: down_threshold above up_threshold";
     Adaptive { levels; up_threshold; down_threshold; detector; level = 0; transitions = 0 }
 
-let measure detector load =
+let[@inline] measure detector load =
   match detector with
   | Queue_work -> float_of_int load.queue_length *. load.mean_processing_delay
   | Utilization -> load.utilization

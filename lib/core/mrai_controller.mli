@@ -7,14 +7,16 @@
     timers are restarted").
 
     The router feeds the controller a {!load} snapshot whenever an update
-    message is enqueued or finishes processing. *)
+    message is enqueued or finishes processing.  The fields are mutable so
+    that a router keeps one snapshot and refreshes it in place: feeding
+    the controller then allocates nothing per message. *)
 
 type load = {
-  now : float;  (** simulated time, seconds *)
-  queue_length : int;  (** update messages waiting in the input queue *)
-  mean_processing_delay : float;  (** seconds per update, analytic mean *)
-  utilization : float;  (** CPU busy fraction over the last window *)
-  updates_in_window : int;  (** update messages received in the last window *)
+  mutable now : float;  (** simulated time, seconds *)
+  mutable queue_length : int;  (** update messages waiting in the input queue *)
+  mutable mean_processing_delay : float;  (** seconds per update, analytic mean *)
+  mutable utilization : float;  (** CPU busy fraction over the last window *)
+  mutable updates_in_window : int;  (** update messages received in the last window *)
 }
 
 (** Which overload signal drives the dynamic scheme (Section 4.3 evaluates
